@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import FormatError, _data_lines, _parse_header_fields
+from .core import FormatError, _read_header
 
 
 def _pair_index(i: int, j: int, s: int) -> int:
@@ -264,18 +264,7 @@ _COL_MAGIC = "turan-col v1"
 
 def read_coloring(text: str) -> EdgeColoring:
     """Parse turan-col v1; raises FormatError with line numbers."""
-    lines = _data_lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError(f"missing `{_COL_MAGIC}` header") from None
-    if line != _COL_MAGIC:
-        raise FormatError(f"expected `{_COL_MAGIC}` header, got `{line}`", lineno)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError("missing `s=<int> colors=<int>` line") from None
-    s, ncolors = _parse_header_fields(line, lineno, ("s", "colors"))
+    (s, ncolors), lineno, lines = _read_header(text, _COL_MAGIC, ("s", "colors"))
     if s < 0 or ncolors < 0:
         raise FormatError("s and colors must be nonnegative", lineno)
 

@@ -27,11 +27,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 
 class FormatError(ValueError):
     """Malformed text input; carries the 1-based offending line number."""
@@ -158,11 +153,6 @@ def set_family(m: int, k: int, members: Iterable[int]) -> SetFamily:
 
 def vertex_degrees(h: Hypergraph) -> list[int]:
     """Degree of every vertex, i.e. the number of edges containing it."""
-    if _np is not None and h.n <= 63 and h.edges:
-        arr = _np.fromiter(h.edges, dtype=_np.uint64, count=len(h.edges))
-        return [
-            int(_np.count_nonzero(arr & _np.uint64(1 << v))) for v in range(h.n)
-        ]
     degs = [0] * h.n
     for e in h.edges:
         while e:
@@ -186,10 +176,28 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
         yield i, line
 
 
-def _parse_header_fields(line: str, lineno: int, keys: tuple[str, ...]) -> list[int]:
+def _read_header(
+    text: str, magic: str, keys: tuple[str, ...]
+) -> tuple[list[int], int, Iterator[tuple[int, str]]]:
+    """Check the magic line and parse the `key=<int> ...` line after it.
+
+    Returns the integers in key order, the field line's number (for the
+    reader's own range checks) and the `_data_lines` iterator over the
+    remaining lines.
+    """
+    lines = _data_lines(text)
+    lineno, line = next(lines, (None, None))
+    if line is None:
+        raise FormatError(f"missing `{magic}` header")
+    if line != magic:
+        raise FormatError(f"expected `{magic}` header, got `{line}`", lineno)
+    form = " ".join(key + "=<int>" for key in keys)
+    lineno, line = next(lines, (None, None))
+    if line is None:
+        raise FormatError(f"missing `{form}` line")
     parts = line.split()
     if len(parts) != len(keys):
-        raise FormatError(f"expected `{' '.join(k + '=<int>' for k in keys)}`", lineno)
+        raise FormatError(f"expected `{form}`", lineno)
     vals = []
     for part, key in zip(parts, keys):
         prefix = key + "="
@@ -199,7 +207,7 @@ def _parse_header_fields(line: str, lineno: int, keys: tuple[str, ...]) -> list[
             vals.append(int(part[len(prefix):]))
         except ValueError:
             raise FormatError(f"`{part}` is not an integer assignment", lineno) from None
-    return vals
+    return vals, lineno, lines
 
 
 def _parse_index_line(line: str, lineno: int, tag: str) -> list[int]:
@@ -215,18 +223,7 @@ def _parse_index_line(line: str, lineno: int, tag: str) -> list[int]:
 
 def read_hypergraph(text: str) -> Hypergraph:
     """Parse the turan-hg v1 format; raises FormatError with line numbers."""
-    lines = _data_lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError(f"missing `{_HG_MAGIC}` header") from None
-    if line != _HG_MAGIC:
-        raise FormatError(f"expected `{_HG_MAGIC}` header, got `{line}`", lineno)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError("missing `n=<int> k=<int>` line") from None
-    n, k = _parse_header_fields(line, lineno, ("n", "k"))
+    (n, k), lineno, lines = _read_header(text, _HG_MAGIC, ("n", "k"))
     if n < 0 or k < 1:
         raise FormatError(f"need n >= 0 and k >= 1, got n={n} k={k}", lineno)
 

@@ -8,9 +8,11 @@ is an edge of H (which forces P and Q disjoint): copies of the expanded
 clique correspond to r-cliques of G, and every edge of H splits into
 C(2k, k)/2 auxiliary edges, so e(G) = C(2k, k)/2 * e(H).
 
-Clique search is exact branch and bound with a greedy coloring bound.
-The auxiliary graph is materialized only for small n (its vertex count
-is C(n, k)); above the cap the same search runs on implicit adjacency.
+Every question is answered on the materialized graph (C(n, k) vertices,
+one adjacency bitset each) by one exact branch and bound with a greedy
+coloring bound.  Maximality needs no second graph: a new edge e creates
+a copy exactly when some split (P, Q) of e has an (r - 2)-clique inside
+N(P) & N(Q), and that common neighbourhood is always disjoint from e.
 """
 
 from __future__ import annotations
@@ -61,25 +63,20 @@ def auxiliary_graph(h: Hypergraph) -> AuxGraph:
     return g
 
 
-def find_clique(adj: tuple[int, ...], r: int) -> tuple[int, ...] | None:
-    """Some r-clique of the graph given as adjacency bitsets, or None.
+def _clique_in(adj: tuple[int, ...], cand: int, r: int) -> tuple[int, ...] | None:
+    """Some r-clique among the vertices of the bitset cand, or None.
 
     Exact branch and bound: candidates are greedily colored at each node
     and a branch is cut when clique size plus the candidate's color
     index cannot reach r.
     """
-    if r <= 0:
-        return ()
-    n = len(adj)
-    found: list[tuple[int, ...]] = []
     stack: list[int] = []
 
-    def expand(cand: int) -> bool:
-        if len(stack) == r:
-            found.append(tuple(stack))
-            return True
+    def expand(cand: int) -> tuple[int, ...] | None:
+        if len(stack) >= r:
+            return tuple(stack)
         if len(stack) + cand.bit_count() < r:
-            return False
+            return None
         colored: list[tuple[int, int]] = []  # (vertex, color index)
         rem = cand
         color = 0
@@ -97,92 +94,59 @@ def find_clique(adj: tuple[int, ...], r: int) -> tuple[int, ...] | None:
         local = cand
         for v, color in reversed(colored):
             if len(stack) + color < r:
-                return False
+                return None
             stack.append(v)
-            if expand(local & adj[v]):
-                return True
+            got = expand(local & adj[v])
+            if got is not None:
+                return got
             stack.pop()
             local &= ~(1 << v)
-        return False
-
-    if n == 0:
         return None
-    if expand((1 << n) - 1):
-        return found[0]
-    return None
+
+    return expand(cand)
 
 
-def _implicit_search(
-    edge_set: frozenset[int], r: int, chosen: list[int], cands: list[int]
-) -> tuple[int, ...] | None:
-    if len(chosen) == r:
-        return tuple(chosen)
-    if len(chosen) + len(cands) < r:
-        return None
-    for i, s in enumerate(cands):
-        if len(chosen) + len(cands) - i < r:
-            break
-        chosen.append(s)
-        nxt = [q for q in cands[i + 1 :] if q & s == 0 and (q | s) in edge_set]
-        got = _implicit_search(edge_set, r, chosen, nxt)
-        chosen.pop()
-        if got is not None:
-            return got
-    return None
+def find_clique(adj: tuple[int, ...], r: int) -> tuple[int, ...] | None:
+    """Some r-clique of the graph given as adjacency bitsets, or None."""
+    return _clique_in(adj, (1 << len(adj)) - 1, r)
 
 
-def find_expansion(
-    h: Hypergraph, r: int, *, materialize_cap: int = 14
-) -> tuple[int, ...] | None:
+def find_expansion(h: Hypergraph, r: int) -> tuple[int, ...] | None:
     """Branch sets of some expanded-clique copy with r parts, or None.
 
     Returns r pairwise disjoint k-subset masks whose pairwise unions are
-    all edges of h.  For h.n <= materialize_cap the search runs on the
-    materialized auxiliary graph; beyond that adjacency is computed on
-    the fly.
+    all edges of h: the subsets of an r-clique of the auxiliary graph.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    if r == 1:
-        first = next(enumerate_ksubsets(h.n, h.k), None) if h.n >= h.k else None
-        return (first,) if first is not None else None
-    if h.n <= materialize_cap:
-        g = auxiliary_graph(h)
-        got = find_clique(g.adj, r)
-        if got is None:
-            return None
-        return tuple(g.subsets[i] for i in got)
-    return _implicit_search(
-        h.edge_set(), r, [], list(enumerate_ksubsets(h.n, h.k))
-    )
+    g = auxiliary_graph(h)
+    got = find_clique(g.adj, r)
+    if got is None:
+        return None
+    return tuple(g.subsets[i] for i in got)
 
 
-def is_maximal_free(h: Hypergraph, r: int, *, materialize_cap: int = 14) -> bool:
+def is_maximal_free(h: Hypergraph, r: int) -> bool:
     """True iff h is expanded-clique free and adding any new edge is not.
 
     Raises ValueError when h already contains a copy.
     """
-    if find_expansion(h, r, materialize_cap=materialize_cap) is not None:
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    g = auxiliary_graph(h)
+    if find_clique(g.adj, r) is not None:
         raise ValueError("hypergraph already contains an expanded clique")
     if r < 2:
         return False  # any k-subset alone is a copy with r = 1
+    index = {s: i for i, s in enumerate(g.subsets)}
+    adj = g.adj
     edge_set = h.edge_set()
-    for cand in enumerate_ksubsets(h.n, 2 * h.k):
-        if cand in edge_set:
+    for e in enumerate_ksubsets(h.n, 2 * h.k):
+        if e in edge_set:
             continue
-        grown = frozenset(edge_set | {cand})
-        created = False
-        for p, q in _edge_splits(cand, h.k):
-            rest = [
-                s
-                for s in enumerate_ksubsets(h.n, h.k)
-                if s & cand == 0
-                and (s | p) in grown
-                and (s | q) in grown
-            ]
-            if _implicit_search(grown, r, [p, q], rest) is not None:
-                created = True
-                break
-        if not created:
+        if not any(
+            _clique_in(adj, adj[index[p]] & adj[index[q]], r - 2) is not None
+            for p, q in _edge_splits(e, h.k)
+        ):
             return False
     return True

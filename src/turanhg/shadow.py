@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from .core import (
     FormatError,
     SetFamily,
-    _data_lines,
-    _parse_header_fields,
+    _read_header,
     binom_real,
     indices_of,
     mask_of,
@@ -95,18 +94,7 @@ _FAM_MAGIC = "turan-fam v1"
 
 def read_family(text: str) -> SetFamily:
     """Parse turan-fam v1; raises FormatError with line numbers."""
-    lines = _data_lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError(f"missing `{_FAM_MAGIC}` header") from None
-    if line != _FAM_MAGIC:
-        raise FormatError(f"expected `{_FAM_MAGIC}` header, got `{line}`", lineno)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError("missing `m=<int> k=<int>` line") from None
-    m, k = _parse_header_fields(line, lineno, ("m", "k"))
+    (m, k), lineno, lines = _read_header(text, _FAM_MAGIC, ("m", "k"))
     if m < 0 or k < 0:
         raise FormatError("m and k must be nonnegative", lineno)
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .construct import Bipartition
-from .core import FormatError, Hypergraph, _data_lines, _parse_header_fields, binom_exact
+from .core import FormatError, Hypergraph, _data_lines, _read_header, binom_exact
 from .freeness import find_clique
 
 
@@ -349,18 +349,7 @@ _G_MAGIC = "turan-g v1"
 
 def read_graph(text: str) -> SimpleGraph:
     """Parse turan-g v1; raises FormatError with line numbers."""
-    lines = _data_lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError(f"missing `{_G_MAGIC}` header") from None
-    if line != _G_MAGIC:
-        raise FormatError(f"expected `{_G_MAGIC}` header, got `{line}`", lineno)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError("missing `n=<int>` line") from None
-    (n,) = _parse_header_fields(line, lineno, ("n",))
+    (n,), lineno, lines = _read_header(text, _G_MAGIC, ("n",))
     if n < 0:
         raise FormatError("n must be nonnegative", lineno)
     adj = [0] * n

@@ -140,17 +140,16 @@ def test_find_expansion_matches_brute_force():
                 validate_copy(h, r, got)
 
 
-def test_implicit_path_matches_materialized():
+def test_find_expansion_matches_brute_force_up_to_n9():
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randrange(5, 10)
         pool = list(enumerate_ksubsets(n, 4))
         h = hypergraph(n, 2, [m for m in pool if rng.random() < 0.25])
-        a = fr.find_expansion(h, 3)
-        b = fr.find_expansion(h, 3, materialize_cap=0)
-        assert (a is None) == (b is None)
-        if b is not None:
-            validate_copy(h, 3, b)
+        got = fr.find_expansion(h, 3)
+        assert (got is None) == (brute_force_expansion(h, 3) is None)
+        if got is not None:
+            validate_copy(h, 3, got)
 
 
 def test_is_maximal_free():
@@ -166,6 +165,54 @@ def test_is_maximal_free_rejects_non_free():
     h = hypergraph(8, 2, list(enumerate_ksubsets(8, 4)))
     with pytest.raises(ValueError):
         fr.is_maximal_free(h, 3)
+
+
+def brute_force_maximal(h, r):
+    """Reference: every non-edge e gives h + e a copy, found by brute force."""
+    edges = h.edge_set()
+    return all(
+        brute_force_expansion(hypergraph(h.n, h.k, h.edges + (e,)), r) is not None
+        for e in enumerate_ksubsets(h.n, 2 * h.k)
+        if e not in edges
+    )
+
+
+def greedy_completion(h, r, rng):
+    """Add the non-edges of h in random order while h stays free."""
+    edges = h.edge_set()
+    pool = [e for e in enumerate_ksubsets(h.n, 2 * h.k) if e not in edges]
+    rng.shuffle(pool)
+    for e in pool:
+        grown = hypergraph(h.n, h.k, h.edges + (e,))
+        if brute_force_expansion(grown, r) is None:
+            h = grown
+    return h
+
+
+def test_is_maximal_free_matches_brute_force():
+    rng = random.Random(29)
+    cases = []
+    for _ in range(60):
+        n = rng.randrange(5, 10)
+        r = rng.choice((2, 3, 4))
+        pool = list(enumerate_ksubsets(n, 4))
+        h = hypergraph(n, 2, [m for m in pool if rng.random() < 0.1])
+        if brute_force_expansion(h, r) is None:
+            # the sparse input, a free completion of it (maximal) and that
+            # completion less one edge (free, and not maximal)
+            full = greedy_completion(h, r, rng)
+            cases += [(h, r), (full, r)]
+            if full.edges:
+                cases.append((hypergraph(n, 2, full.edges[1:]), r))
+    for n in range(6, 10):
+        for two_t in range(n % 2, n + 1, 2):
+            cases.append((build_parity(n, 3, Shift(two_t))[0], 3))
+    answers = set()
+    for h, r in cases:
+        want = brute_force_maximal(h, r)
+        assert fr.is_maximal_free(h, r) == want, (h, r)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 def test_expansion_vertex_budget():
