@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = stab_sub.add_parser("census", help="good/bad tuple census")
     p.add_argument("--file", required=True)
     p.add_argument("--partition", required=True)
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true", help="has no effect")
     p.add_argument("--tsv", action="store_true")
     p = stab_sub.add_parser("improve", help="local-search partition improvement")
     p.add_argument("--file", required=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Hypergraph, binom_exact, enumerate_ksubsets, indices_of
+from .core import Hypergraph, enumerate_ksubsets, indices_of
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def _edge_splits(edge: int, k: int):
 
 
 def auxiliary_graph(h: Hypergraph) -> AuxGraph:
-    """Build the auxiliary graph of H and check its edge-count identity."""
+    """Build the auxiliary graph of H: P ~ Q when P | Q is an edge."""
     subsets = tuple(enumerate_ksubsets(h.n, h.k))
     index = {s: i for i, s in enumerate(subsets)}
     adj = [0] * len(subsets)
@@ -58,9 +58,7 @@ def auxiliary_graph(h: Hypergraph) -> AuxGraph:
             ip, iq = index[p], index[q]
             adj[ip] |= 1 << iq
             adj[iq] |= 1 << ip
-    g = AuxGraph(h.n, h.k, subsets, tuple(adj))
-    assert g.edge_count * 2 == binom_exact(2 * h.k, h.k) * h.edge_count
-    return g
+    return AuxGraph(h.n, h.k, subsets, tuple(adj))
 
 
 def _clique_in(adj: tuple[int, ...], cand: int, r: int) -> tuple[int, ...] | None:

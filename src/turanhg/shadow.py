@@ -46,7 +46,9 @@ def lovasz_x(size: int, k: int) -> float:
     """The unique real x >= k - 1 with C(x, k) = size, by bisection.
 
     binom_real is strictly increasing on [k - 1, inf); the root is
-    bracketed by [k - 1, k - 1 + size] and bisected to 1e-12.
+    bracketed by [k - 1, k - 1 + size] and bisected to 1e-12, or until
+    no float lies strictly between the ends (from x = 8192 on, adjacent
+    floats are more than 1e-12 apart).
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -57,6 +59,8 @@ def lovasz_x(size: int, k: int) -> float:
     lo, hi = float(k - 1), float(k - 1 + size)
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break
         if binom_real(mid, k) < size:
             lo = mid
         else:

@@ -3,11 +3,12 @@
 For a 2k-uniform hypergraph with a candidate bipartition, a 2k-subset
 is "good" when it meets both parts in an odd number of vertices and
 "bad" otherwise; a perfect parity construction has every edge good and
-every good tuple present.  classify_tuples reports the full census and
-improve_partition runs the obvious local search: while some vertex is
-incident to strictly more bad than good edges, move the first such
-vertex to the other side (each move strictly lowers the bad-edge count,
-so the search terminates).
+every good tuple present.  classify_tuples takes the full census from
+counts, since the good tuples number the parity edge count for the
+part sizes, and improve_partition runs the obvious local search: while
+some vertex is incident to strictly more bad than good edges, move the
+first such vertex to the other side (each move strictly lowers the
+bad-edge count, so the search terminates).
 
 simonovits_partition approximately partitions a K_{s+1}-free graph G on
 N vertices into s classes with few internal edges.  Write
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .construct import Bipartition
+from .construct import Bipartition, parity_edge_count
 from .core import FormatError, Hypergraph, _data_lines, _read_header, binom_exact
 from .freeness import find_clique
+from .krawtchouk import Shift
 
 
 @dataclass(frozen=True)
@@ -134,26 +135,23 @@ class TupleCensus:
 
 
 def classify_tuples(
-    h: Hypergraph, part: Bipartition, *, cap: int = 24, force: bool = False
+    h: Hypergraph, part: Bipartition, *, force: bool = False
 ) -> TupleCensus:
-    """Full census over all C(n, 2k) tuples; capped unless force=True."""
+    """Full census over all C(n, 2k) tuples, taken from counts.
+
+    The bad edges are counted in one pass over the edges; the good
+    tuples number parity_edge_count for the part sizes, and the other
+    two cells follow by subtraction.  force has no effect; it is
+    accepted so that existing callers keep working.
+    """
     if part.n != h.n:
         raise ValueError(f"partition is over {part.n} vertices, hypergraph over {h.n}")
-    if h.n > cap and not force:
-        raise ValueError(
-            f"n={h.n} exceeds the census cap {cap}; pass force=True to run anyway"
-        )
-    mask1 = part.mask(1)
-    edge_set = h.edge_set()
-    counts = [0, 0, 0, 0]  # good edge, bad edge, good non-edge, bad non-edge
-    for combo in combinations(range(h.n), 2 * h.k):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        good = (m & mask1).bit_count() & 1
-        is_edge = m in edge_set
-        counts[(0 if good else 1) + (0 if is_edge else 2)] += 1
-    return TupleCensus(*counts)
+    n1, n2 = part.sizes()
+    good = parity_edge_count(h.n, h.k, Shift(n1 - n2))
+    bad_edges = bad_edge_count(h, part)
+    good_edges = h.edge_count - bad_edges
+    bad = binom_exact(h.n, 2 * h.k) - good
+    return TupleCensus(good_edges, bad_edges, good - good_edges, bad - bad_edges)
 
 
 def bad_edge_count(h: Hypergraph, part: Bipartition) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 from turanhg import construct as cn
 from turanhg.core import binom_exact, enumerate_ksubsets, vertex_degrees
-from turanhg.krawtchouk import Shift, optimal_shift
+from turanhg.krawtchouk import Shift, kraw_eval, optimal_shift
 
 
 def brute_parity_edges(n, k, two_t):
@@ -83,6 +83,33 @@ def test_parity_degree_matches_enumeration():
                 if n2:
                     want = cn.parity_degree(n, k, Shift(two_t), "small")
                     assert all(degs[v] == want for v in range(n1, n))
+
+
+def test_parity_counts_match_closed_forms():
+    # the Krawtchouk closed forms of the module docstring, and for k = 2
+    # the quartic b and the cubic degree in n and t
+    for k in (1, 2, 3, 4):
+        for n in range(2 * k, 61):
+            for two_t in range(-n, n + 1, 2):
+                sh = Shift(two_t)
+                n1, n2 = sh.part_sizes(n)
+                b = cn.parity_edge_count(n, k, sh)
+                assert 2 * b == binom_exact(n, 2 * k) - kraw_eval(2 * k, n, n1)
+                for side, own in (("large", n1), ("small", n2)):
+                    if own:
+                        d = cn.parity_degree(n, k, sh, side)
+                        kr = kraw_eval(2 * k - 1, n - 1, own - 1)
+                        assert 2 * d == binom_exact(n - 1, 2 * k - 1) + kr
+    for n in range(4, 201):
+        for two_t in range(-n, n + 1, 2):
+            sh = Shift(two_t)
+            n1, n2 = sh.part_sizes(n)
+            b = cn.parity_edge_count(n, 2, sh)
+            assert 48 * b == (n * n - 3 * n + 4) ** 2 - (two_t**2 - 3 * n + 4) ** 2
+            for side, own, other in (("large", n1, n2), ("small", n2, n1)):
+                if own:
+                    d = cn.parity_degree(n, 2, sh, side)
+                    assert d == other * binom_exact(own - 1, 2) + binom_exact(other, 3)
 
 
 def test_parity_degree_empty_side_raises():

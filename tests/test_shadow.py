@@ -50,6 +50,15 @@ def test_lovasz_x_frozen():
     assert sh.lovasz_x(0, 3) == 3 - 1  # empty family convention
 
 
+def test_lovasz_x_terminates_above_float_resolution():
+    # from x = 8192 on, adjacent floats lie more than 1e-12 apart
+    assert sh.lovasz_x(20000, 1) == 20000.0
+    size = binom_exact(100_000, 2) + 17
+    x = sh.lovasz_x(size, 2)
+    assert 100_000 < x < 100_001
+    assert binom_real(x, 2) == pytest.approx(size, rel=1e-12)
+
+
 def test_lovasz_x_round_trip():
     for k in (2, 3, 4):
         for size in range(0, 200, 7):

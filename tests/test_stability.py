@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 
 from turanhg import stability as stb
+from turanhg.cli import run_cli
 from turanhg.construct import build_parity
-from turanhg.core import binom_exact, enumerate_ksubsets, hypergraph
+from turanhg.core import binom_exact, enumerate_ksubsets, hypergraph, write_hypergraph
 from turanhg.krawtchouk import Shift
 
 
@@ -64,20 +65,23 @@ def brute_census(h, part):
 
 def test_classify_tuples_matches_brute_force():
     rng = random.Random(23)
-    for _ in range(40):
-        n = rng.randrange(4, 10)
-        pool = list(enumerate_ksubsets(n, 4))
-        h = hypergraph(n, 2, [m for m in pool if rng.random() < 0.4])
-        part = stb.Bipartition(
-            n, tuple(rng.choice((1, 2)) for _ in range(n))
-        )
-        got = stb.classify_tuples(h, part)
-        want = brute_census(h, part)
-        assert got == want
-        total = got.good_edges + got.bad_edges + got.good_non_edges + got.bad_non_edges
-        assert total == binom_exact(n, 4)
-        assert got.good_edges + got.bad_edges == h.edge_count
-        assert stb.bad_edge_count(h, part) == got.bad_edges
+    for k in (1, 2, 3):
+        for n in range(0, 10):
+            pool = list(enumerate_ksubsets(n, 2 * k))
+            parts = [(1,) * n, (2,) * n]
+            parts += [tuple(rng.choice((1, 2)) for _ in range(n)) for _ in range(4)]
+            for part_of in parts:
+                h = hypergraph(n, k, [m for m in pool if rng.random() < 0.4])
+                part = stb.Bipartition(n, part_of)
+                got = stb.classify_tuples(h, part)
+                want = brute_census(h, part)
+                assert got == want
+                total = (
+                    got.good_edges + got.bad_edges + got.good_non_edges + got.bad_non_edges
+                )
+                assert total == binom_exact(n, 2 * k)
+                assert got.good_edges + got.bad_edges == h.edge_count
+                assert stb.bad_edge_count(h, part) == got.bad_edges
 
 
 def test_classify_tuples_on_construction():
@@ -92,12 +96,19 @@ def test_classify_tuples_on_construction():
     assert census2.incorrect > 0
 
 
-def test_classify_tuples_cap():
+def test_classify_tuples_has_no_cap(tmp_path, capsys):
+    # force is accepted and has no effect; n = 26 needs neither it nor --force
     h, part = build_parity(26, 2, Shift(0))
-    with pytest.raises(ValueError):
-        stb.classify_tuples(h, part)
-    census = stb.classify_tuples(h, part, force=True)
-    assert census.incorrect == 0
+    assert stb.classify_tuples(h, part).incorrect == 0
+    assert stb.classify_tuples(h, part, force=True).incorrect == 0
+    hf = tmp_path / "h.txt"
+    hf.write_text(write_hypergraph(h))
+    pf = tmp_path / "p.txt"
+    pf.write_text(stb.write_bipartition(part))
+    code = run_cli(["stability", "census", "--file", str(hf), "--partition", str(pf)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "bad_edges 0\ngood_non_edges 0\n" in out
 
 
 def test_classify_tuples_empty_hypergraph():
