@@ -17,14 +17,12 @@ def main():
     ap.add_argument("--k", type=int, default=2)
     ap.add_argument("--n-min", type=int, default=None)
     ap.add_argument("--n-max", type=int, default=100)
-    ap.add_argument("--full-scan", action="store_true",
-                    help="sweep every feasible shift instead of the window")
     args = ap.parse_args()
 
     n_min = args.n_min if args.n_min is not None else 2 * args.k
     print("n\ttwo_t\tmax_edges\thalf_deficit")
     for n in range(n_min, args.n_max + 1):
-        rep = krawtchouk.optimal_shift(n, args.k, full_scan=args.full_scan)
+        rep = krawtchouk.optimal_shift(n, args.k)
         shifts = ",".join(str(s.two_t) for s in rep.maximizers)
         deficit = core.binom_exact(n, 2 * args.k) - 2 * rep.max_edges
         print(f"{n}\t{shifts}\t{rep.max_edges}\t{deficit}")

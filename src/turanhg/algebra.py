@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import FormatError, _read_header
+from .core import FormatError, _read_header, _read_rows, _write_rows, perfect_matchings
 
 
 def _pair_index(i: int, j: int, s: int) -> int:
@@ -211,19 +211,6 @@ def build_group(c: EdgeColoring) -> ColorGroup:
     return ColorGroup(s, s.bit_length() - 1, tuple(tuple(row) for row in table))
 
 
-def _pairings(elems: tuple[int, ...]):
-    """All perfect matchings of an even-size vertex tuple."""
-    if not elems:
-        yield ()
-        return
-    a = elems[0]
-    for idx in range(1, len(elems)):
-        b = elems[idx]
-        rest = elems[1:idx] + elems[idx + 1 :]
-        for tail in _pairings(rest):
-            yield ((a, b),) + tail
-
-
 def enumerate_one_factorizations(s: int) -> list[EdgeColoring]:
     """All partitions of E(K_s) into perfect matchings, as colorings.
 
@@ -248,7 +235,7 @@ def enumerate_one_factorizations(s: int) -> list[EdgeColoring]:
             return
         pivot = min(uncovered)
         rest = tuple(v for v in range(s) if v not in pivot)
-        for tail in _pairings(rest):
+        for tail in perfect_matchings(rest):
             matching = (pivot,) + tail
             if all(pair in uncovered for pair in matching):
                 grow(uncovered - set(matching), chosen + [matching])
@@ -269,14 +256,7 @@ def read_coloring(text: str) -> EdgeColoring:
         raise FormatError("s and colors must be nonnegative", lineno)
 
     seen: dict[tuple[int, int], int] = {}
-    for lineno, line in lines:
-        parts = line.split()
-        if parts[0] != "c" or len(parts) != 4:
-            raise FormatError("expected `c <i> <j> <color>`", lineno)
-        try:
-            i, j, col = (int(p) for p in parts[1:])
-        except ValueError:
-            raise FormatError("entries must be integers", lineno) from None
+    for lineno, (i, j, col) in _read_rows(lines, "c", 3):
         if not (0 <= i < s and 0 <= j < s) or i == j:
             raise FormatError(f"({i}, {j}) is not an edge of K_{s}", lineno)
         if not 0 <= col < ncolors:
@@ -285,15 +265,13 @@ def read_coloring(text: str) -> EdgeColoring:
         if key in seen:
             raise FormatError(f"pair ({key[0]}, {key[1]}) colored twice", lineno)
         seen[key] = col
-    missing = [p for p in combinations(range(s), 2) if p not in seen]
-    if missing:
-        raise FormatError(f"pair {missing[0]} has no color")
+    if len(seen) != s * (s - 1) // 2:
+        missing = next(p for p in combinations(range(s), 2) if p not in seen)
+        raise FormatError(f"pair {missing} has no color")
     return edge_coloring(s, ncolors, seen)
 
 
 def write_coloring(c: EdgeColoring) -> str:
     """Serialize to turan-col v1 in lexicographic pair order."""
-    out = [_COL_MAGIC, f"s={c.s} colors={c.color_count}"]
-    for i, j in combinations(range(c.s), 2):
-        out.append(f"c {i} {j} {c.color_of(i, j)}")
-    return "\n".join(out) + "\n"
+    rows = ((i, j, c.color_of(i, j)) for i, j in combinations(range(c.s), 2))
+    return _write_rows(_COL_MAGIC, f"s={c.s} colors={c.color_count}", "c", rows)

@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = kraw_sub.add_parser("tstar", help="edge-maximizing shifts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--full-scan", action="store_true")
     p.add_argument("--one", action="store_true", help="print only the smallest 2t")
     p.add_argument("--tsv", action="store_true")
 
@@ -148,7 +147,7 @@ def _cmd_kraw(args) -> int:
         for v in krawtchouk.genfunc_row(args.n, args.x):
             print(v)
         return 0
-    report = krawtchouk.optimal_shift(args.n, args.k, full_scan=args.full_scan)
+    report = krawtchouk.optimal_shift(args.n, args.k)
     if args.one:
         print(report.maximizers[0].two_t)
     elif args.tsv:
@@ -323,13 +322,7 @@ def run_cli(argv: list[str]) -> int:
         return 2
     try:
         return _DISPATCH[args.command](args)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except core.FormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

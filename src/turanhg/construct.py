@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Hypergraph, binom_exact
+from .core import Hypergraph, binom_exact, enumerate_ksubsets
 from .krawtchouk import Shift
 
 
@@ -68,16 +68,6 @@ class GF2Labeling:
             raise ValueError("labels must lie in 0 .. 2^p - 1")
 
 
-def _combo_masks(vertices: range, size: int) -> list[int]:
-    out = []
-    for combo in combinations(vertices, size):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        out.append(m)
-    return out
-
-
 def build_parity(n: int, k: int, shift: Shift) -> tuple[Hypergraph, Bipartition]:
     """The parity construction; part 1 is the prefix 0 .. n/2+t-1."""
     if k < 1:
@@ -88,9 +78,8 @@ def build_parity(n: int, k: int, shift: Shift) -> tuple[Hypergraph, Bipartition]
         j = 2 * k - i
         if i > n1 or j > n2:
             continue
-        left = _combo_masks(range(n1), i)
-        right = _combo_masks(range(n1, n), j)
-        edges.extend(a | b for a in left for b in right)
+        right = [m << n1 for m in enumerate_ksubsets(n2, j)]
+        edges.extend(a | b for a in enumerate_ksubsets(n1, i) for b in right)
     h = Hypergraph(n, k, tuple(sorted(edges)))
     return h, Bipartition(n, (1,) * n1 + (2,) * n2)
 

@@ -16,8 +16,10 @@ The text format `turan-hg v1` stores a 2k-uniform hypergraph:
     n=<int> k=<int>
     e v1 v2 ... v2k        (vertex indices, strictly increasing)
 
-Blank lines and lines starting with `#` are ignored.  Readers report
-offending line numbers on malformed input.
+Every text format shares its line syntax: a data line is a tag followed
+by integers, blank lines and lines starting with `#` are ignored, and
+readers report offending line numbers on malformed input.  The row
+reader and writer below are shared by all of them.
 """
 
 from __future__ import annotations
@@ -82,6 +84,18 @@ def enumerate_ksubsets(n: int, k: int) -> Iterator[int]:
         for v in combo:
             m |= 1 << v
         yield m
+
+
+def perfect_matchings(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All perfect matchings of an even-size tuple, as tuples of pairs."""
+    if not elems:
+        yield ()
+        return
+    a = elems[0]
+    for i in range(1, len(elems)):
+        rest = elems[1:i] + elems[i + 1 :]
+        for tail in perfect_matchings(rest):
+            yield ((a, elems[i]),) + tail
 
 
 def _check_members(n: int, size: int, masks: Sequence[int], what: str) -> None:
@@ -210,15 +224,57 @@ def _read_header(
     return vals, lineno, lines
 
 
-def _parse_index_line(line: str, lineno: int, tag: str) -> list[int]:
-    parts = line.split()
-    if parts[0] != tag:
-        raise FormatError(f"expected a `{tag}` line, got `{parts[0]}`", lineno)
-    try:
-        idx = [int(p) for p in parts[1:]]
-    except ValueError:
-        raise FormatError("vertex indices must be integers", lineno) from None
-    return idx
+def _read_rows(
+    lines: Iterable[tuple[int, str]], tag: str, arity: int | None = None
+) -> Iterator[tuple[int, list[int]]]:
+    """(line number, integers) for each `tag int ...` data line.
+
+    Raises FormatError on a wrong tag, on a field count other than arity
+    (when given) and on a field that is not an integer.
+    """
+    for lineno, line in lines:
+        fields = line.split()
+        if fields[0] != tag:
+            raise FormatError(f"expected a `{tag}` line, got `{fields[0]}`", lineno)
+        if arity is not None and len(fields) != arity + 1:
+            raise FormatError(
+                f"expected {arity} integers after `{tag}`, got {len(fields) - 1}", lineno
+            )
+        try:
+            ints = [int(f) for f in fields[1:]]
+        except ValueError:
+            raise FormatError(f"`{tag}` line entries must be integers", lineno) from None
+        yield lineno, ints
+
+
+def _read_subsets(
+    lines: Iterable[tuple[int, str]], tag: str, size: int, ground: int, what: str
+) -> tuple[int, ...]:
+    """Sorted masks of `tag v1 ... v_size` lines over the ground set 0..ground-1.
+
+    Each line must list size indices, strictly increasing and in range,
+    and no subset may appear twice.
+    """
+    seen: set[int] = set()
+    for lineno, idx in _read_rows(lines, tag):
+        if len(idx) != size:
+            raise FormatError(f"{what} has {len(idx)} vertices, expected {size}", lineno)
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise FormatError(f"{what} vertices must be strictly increasing", lineno)
+        if idx and (idx[0] < 0 or idx[-1] >= ground):
+            raise FormatError(f"vertex index out of range 0..{ground - 1}", lineno)
+        m = mask_of(idx)
+        if m in seen:
+            raise FormatError(" ".join(("duplicate", what, *map(str, idx))), lineno)
+        seen.add(m)
+    return tuple(sorted(seen))
+
+
+def _write_rows(magic: str, header: str, tag: str, rows: Iterable[Iterable[int]]) -> str:
+    """The magic line, the header line and one `tag int ...` line per row."""
+    out = [magic, header]
+    out.extend(" ".join((tag, *map(str, row))) for row in rows)
+    return "\n".join(out) + "\n"
 
 
 def read_hypergraph(text: str) -> Hypergraph:
@@ -226,28 +282,9 @@ def read_hypergraph(text: str) -> Hypergraph:
     (n, k), lineno, lines = _read_header(text, _HG_MAGIC, ("n", "k"))
     if n < 0 or k < 1:
         raise FormatError(f"need n >= 0 and k >= 1, got n={n} k={k}", lineno)
-
-    edges = []
-    seen = set()
-    for lineno, line in lines:
-        idx = _parse_index_line(line, lineno, "e")
-        if len(idx) != 2 * k:
-            raise FormatError(f"edge has {len(idx)} vertices, expected {2 * k}", lineno)
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise FormatError("edge vertices must be strictly increasing", lineno)
-        if idx[0] < 0 or idx[-1] >= n:
-            raise FormatError(f"vertex index out of range 0..{n - 1}", lineno)
-        m = mask_of(idx)
-        if m in seen:
-            raise FormatError(f"duplicate edge {' '.join(map(str, idx))}", lineno)
-        seen.add(m)
-        edges.append(m)
-    return Hypergraph(n, k, tuple(sorted(edges)))
+    return Hypergraph(n, k, _read_subsets(lines, "e", 2 * k, n, "edge"))
 
 
 def write_hypergraph(h: Hypergraph) -> str:
     """Serialize to turan-hg v1, edges in canonical (sorted mask) order."""
-    out = [_HG_MAGIC, f"n={h.n} k={h.k}"]
-    for e in h.edges:
-        out.append("e " + " ".join(map(str, indices_of(e))))
-    return "\n".join(out) + "\n"
+    return _write_rows(_HG_MAGIC, f"n={h.n} k={h.k}", "e", map(indices_of, h.edges))

@@ -117,23 +117,19 @@ def _parity_edges(n: int, k: int, two_t: int) -> int:
     return (binom_exact(n, 2 * k) - kraw_eval(2 * k, n, x)) // 2
 
 
-def optimal_shift(n: int, k: int, *, full_scan: bool = False) -> OptimalShiftReport:
+def optimal_shift(n: int, k: int) -> OptimalShiftReport:
     """Shifts maximizing the odd-odd 2k-subset count over a bipartition.
 
-    By symmetry only t >= 0 is scanned.  The default scan covers the
+    By symmetry only t >= 0 is scanned.  The scan covers the
     feasible shifts with n/2 + t inside levenshtein_window(2k, n) plus
-    the endpoints t = 0 (or 1/2) and t = n/2; full_scan=True sweeps
-    every feasible shift instead.
+    the endpoints t = 0 (or 1/2) and t = n/2.
     """
     if k < 1 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 2, got n={n} k={k}")
     start = n % 2  # smallest feasible 2t
-    if full_scan:
-        candidates = list(range(start, n + 1, 2))
-    else:
-        candidates = [tt for tt in range(start, n + 1, 2) if tt * tt <= 8 * k * n]
-        if candidates[-1] != n:
-            candidates.append(n)
+    candidates = [tt for tt in range(start, n + 1, 2) if tt * tt <= 8 * k * n]
+    if candidates[-1] != n:
+        candidates.append(n)
     best = -1
     winners: list[int] = []
     for tt in candidates:

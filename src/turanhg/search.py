@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Hypergraph, enumerate_ksubsets
+from .core import Hypergraph, enumerate_ksubsets, perfect_matchings
 from .construct import build_parity
 from .krawtchouk import optimal_shift
 
@@ -45,19 +45,6 @@ class ConflictSystem:
     conflicts: tuple[tuple[int, int, int], ...]
 
 
-def _pair_partitions(vertices: tuple[int, ...]):
-    """All ways to split an even vertex tuple into unordered pairs."""
-    if not vertices:
-        yield ()
-        return
-    a = vertices[0]
-    for i in range(1, len(vertices)):
-        b = vertices[i]
-        rest = vertices[1:i] + vertices[i + 1 :]
-        for tail in _pair_partitions(rest):
-            yield ((a, b),) + tail
-
-
 def conflict_triples(n: int) -> ConflictSystem:
     """All conflict triples over 0..n-1, deduplicated and sorted."""
     if n < 0:
@@ -66,7 +53,7 @@ def conflict_triples(n: int) -> ConflictSystem:
     index = {m: i for i, m in enumerate(items)}
     conflicts = set()
     for six in combinations(range(n), 6):
-        for pairs in _pair_partitions(six):
+        for pairs in perfect_matchings(six):
             masks = [(1 << a) | (1 << b) for a, b in pairs]
             triple = tuple(
                 sorted(

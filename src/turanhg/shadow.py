@@ -22,9 +22,10 @@ from .core import (
     FormatError,
     SetFamily,
     _read_header,
+    _read_subsets,
+    _write_rows,
     binom_real,
     indices_of,
-    mask_of,
 )
 
 
@@ -101,34 +102,9 @@ def read_family(text: str) -> SetFamily:
     (m, k), lineno, lines = _read_header(text, _FAM_MAGIC, ("m", "k"))
     if m < 0 or k < 0:
         raise FormatError("m and k must be nonnegative", lineno)
-
-    members = []
-    seen = set()
-    for lineno, line in lines:
-        parts = line.split()
-        if parts[0] != "s":
-            raise FormatError(f"expected a `s` line, got `{parts[0]}`", lineno)
-        try:
-            idx = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise FormatError("member indices must be integers", lineno) from None
-        if len(idx) != k:
-            raise FormatError(f"member has {len(idx)} vertices, expected {k}", lineno)
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise FormatError("member vertices must be strictly increasing", lineno)
-        if idx and (idx[0] < 0 or idx[-1] >= m):
-            raise FormatError(f"vertex index out of range 0..{m - 1}", lineno)
-        mask = mask_of(idx)
-        if mask in seen:
-            raise FormatError("duplicate member", lineno)
-        seen.add(mask)
-        members.append(mask)
-    return SetFamily(m, k, tuple(sorted(members)))
+    return SetFamily(m, k, _read_subsets(lines, "s", k, m, "member"))
 
 
 def write_family(fam: SetFamily) -> str:
     """Serialize to turan-fam v1, members in canonical (sorted mask) order."""
-    out = [_FAM_MAGIC, f"m={fam.m} k={fam.k}"]
-    for m in fam.members:
-        out.append(("s " + " ".join(map(str, indices_of(m)))).rstrip())
-    return "\n".join(out) + "\n"
+    return _write_rows(_FAM_MAGIC, f"m={fam.m} k={fam.k}", "s", map(indices_of, fam.members))

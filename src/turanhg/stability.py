@@ -36,7 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import Bipartition, parity_edge_count
-from .core import FormatError, Hypergraph, _data_lines, _read_header, binom_exact
+from .core import (
+    FormatError,
+    Hypergraph,
+    _data_lines,
+    _read_header,
+    _read_rows,
+    _write_rows,
+    binom_exact,
+)
 from .freeness import find_clique
 from .krawtchouk import Shift
 
@@ -351,14 +359,7 @@ def read_graph(text: str) -> SimpleGraph:
     if n < 0:
         raise FormatError("n must be nonnegative", lineno)
     adj = [0] * n
-    for lineno, line in lines:
-        parts = line.split()
-        if parts[0] != "g" or len(parts) != 3:
-            raise FormatError("expected `g <i> <j>`", lineno)
-        try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError("vertex indices must be integers", lineno) from None
+    for lineno, (i, j) in _read_rows(lines, "g", 2):
         if i == j:
             raise FormatError(f"self loop at {i}", lineno)
         if not (0 <= i < n and 0 <= j < n):
@@ -372,23 +373,13 @@ def read_graph(text: str) -> SimpleGraph:
 
 def write_graph(g: SimpleGraph) -> str:
     """Serialize to turan-g v1, edges lexicographic."""
-    out = [_G_MAGIC, f"n={g.n}"]
-    for i, j in g.edges():
-        out.append(f"g {i} {j}")
-    return "\n".join(out) + "\n"
+    return _write_rows(_G_MAGIC, f"n={g.n}", "g", g.edges())
 
 
 def read_bipartition(text: str, n: int) -> Bipartition:
     """Parse `p <vertex> <1|2>` lines; every vertex must appear once."""
     part_of: dict[int, int] = {}
-    for lineno, line in _data_lines(text):
-        parts = line.split()
-        if parts[0] != "p" or len(parts) != 3:
-            raise FormatError("expected `p <vertex> <1|2>`", lineno)
-        try:
-            v, side = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError("entries must be integers", lineno) from None
+    for lineno, (v, side) in _read_rows(_data_lines(text), "p", 2):
         if not 0 <= v < n:
             raise FormatError(f"vertex index out of range 0..{n - 1}", lineno)
         if side not in (1, 2):
@@ -396,9 +387,9 @@ def read_bipartition(text: str, n: int) -> Bipartition:
         if v in part_of:
             raise FormatError(f"vertex {v} assigned twice", lineno)
         part_of[v] = side
-    missing = [v for v in range(n) if v not in part_of]
-    if missing:
-        raise FormatError(f"vertex {missing[0]} has no part assignment")
+    if len(part_of) != n:
+        missing = next(v for v in range(n) if v not in part_of)
+        raise FormatError(f"vertex {missing} has no part assignment")
     return Bipartition(n, tuple(part_of[v] for v in range(n)))
 
 

@@ -148,12 +148,23 @@ def test_coloring_io_round_trip():
             "turan-col v1\ns=4 colors=3\nc 0 1 0\nc 1 0 1\n",
             "colored twice",  # pair order is normalized before the check
         ),
+        ("turan-col v1\ns=4 colors=3\nc 0 1 0\ng 0 2 1\n", "expected a `c` line"),
+        ("turan-col v1\ns=4 colors=3\nc 0 1\n", "expected 3 integers after `c`, got 2"),
+        ("turan-col v1\ns=4 colors=3\n\n# row\nc 0 1 red\n", "must be integers"),
+        # 5 * 10^9 pairs: only the first gap is searched for, never all of them
+        ("turan-col v1\ns=100000 colors=3\nc 0 1 0\n", "pair (0, 2) has no color"),
     ],
 )
 def test_read_coloring_errors(text, fragment):
     with pytest.raises(al.FormatError) as exc:
         al.read_coloring(text)
     assert fragment in str(exc.value)
+    # every text ends on the line the reader rejects, save a bad magic line
+    # and a missing pair, which no line carries
+    if "no color" in fragment:
+        assert exc.value.line is None
+    else:
+        assert exc.value.line == (1 if fragment == "header" else text.count("\n"))
 
 
 def test_read_coloring_accepts_reversed_pairs():

@@ -1,7 +1,10 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 from turanhg import algebra, construct, core, krawtchouk, search, shadow, stability
-from turanhg.cli import run_cli
+from turanhg.cli import build_parser, run_cli
 
 
 def run(capsys, *argv):
@@ -228,3 +231,36 @@ def test_format_error_exit(tmp_path, capsys):
 def test_search_cap_via_cli(capsys):
     code, _, err = run(capsys, "search", "exact", "--n", "9")
     assert code == 2 and "cap" in err
+
+
+def test_oversized_inputs_exit_2(tmp_path, capsys):
+    # a 40-byte input naming 10^8 vertices or 5 * 10^9 pairs is refused
+    # from its first gap, not by listing every gap
+    hg = tmp_path / "big.hg"
+    hg.write_text("turan-hg v1\nn=100000000 k=2\n")
+    part = tmp_path / "big.part"
+    part.write_text("p 0 1\n")
+    code, out, err = run(
+        capsys, "stability", "census", "--file", str(hg), "--partition", str(part)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: vertex 1 has no part assignment\n"
+    col = tmp_path / "big.col"
+    col.write_text("turan-col v1\ns=100000 colors=3\nc 0 1 0\n")
+    code, out, err = run(capsys, "color", "verify", "--file", str(col))
+    assert (code, out) == (2, "")
+    assert err == "error: pair (0, 2) has no color\n"
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("turanhg "):
+            yield line.split("#")[0].strip()
+
+
+@pytest.mark.parametrize("command", list(_readme_commands()))
+def test_readme_examples_parse(command):
+    # a flag dropped from the CLI must not linger in the README
+    argv = shlex.split(command)[1:]
+    build_parser().parse_args(argv)

@@ -131,6 +131,7 @@ def test_read_hypergraph_comments_and_blanks():
         ("turan-hg v1\nn=4 k=1\ne 0 4\n", 3, "range"),
         ("turan-hg v1\nn=4 k=1\ne 0 1\ne 0 1\n", 4, "duplicate"),
         ("turan-hg v1\nn=4 k=1\nx 0 1\n", 3, "`e` line"),
+        ("turan-hg v1\nn=4 k=1\n# row\ne 0 x\n", 4, "must be integers"),
     ],
 )
 def test_read_hypergraph_errors(text, lineno, fragment):

@@ -1,9 +1,8 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from turanhg import krawtchouk as kw
+from turanhg.construct import parity_edge_count
 from turanhg.core import binom_exact
 
 
@@ -114,12 +113,24 @@ def test_levenshtein_window_contains_roots():
                     assert kw.kraw_eval(m, n, x) != 0
 
 
+def _scan_every_shift(n, k):
+    """{2t: parity edge count} over every feasible shift t >= 0."""
+    return {
+        tt: parity_edge_count(n, k, kw.Shift(tt)) for tt in range(n % 2, n + 1, 2)
+    }
+
+
 def test_optimal_shift_matches_full_scan():
-    for k in (1, 2, 3):
-        for n in range(2 * k, 26):
-            fast = kw.optimal_shift(n, k)
-            slow = kw.optimal_shift(n, k, full_scan=True)
-            assert fast == slow
+    # the Levenshtein window loses no maximizer of the full sweep
+    for k in range(1, 6):
+        for n in range(2 * k, 121):
+            counts = _scan_every_shift(n, k)
+            best = max(counts.values())
+            rep = kw.optimal_shift(n, k)
+            assert rep.max_edges == best
+            assert [s.two_t for s in rep.maximizers] == [
+                tt for tt, b in counts.items() if b == best
+            ]
 
 
 def test_optimal_shift_frozen_values():
@@ -135,14 +146,14 @@ def test_optimal_shift_frozen_values():
 
 
 def test_optimal_shift_value_is_max():
-    # report value actually dominates every feasible nonnegative shift
-    for n in range(4, 30):
-        rep = kw.optimal_shift(n, 2, full_scan=True)
-        best = max(
-            (math.comb(n, 4) - kw.kraw_eval(4, n, (n + tt) // 2)) // 2
-            for tt in range(n % 2, n + 1, 2)
-        )
-        assert rep.max_edges == best
+    # the Krawtchouk value of the report dominates every feasible shift's
+    # binomial count and is attained at each reported maximizer
+    for k in range(1, 6):
+        for n in range(2 * k, 121):
+            counts = _scan_every_shift(n, k)
+            rep = kw.optimal_shift(n, k)
+            assert all(b <= rep.max_edges for b in counts.values())
+            assert all(counts[s.two_t] == rep.max_edges for s in rep.maximizers)
 
 
 def test_optimal_shift_domain():

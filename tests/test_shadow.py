@@ -118,8 +118,17 @@ def test_family_io_errors():
     with pytest.raises(sh.FormatError) as exc:
         sh.read_family("turan-fam v1\nm=4 k=2\ns 0 1\ns 0 1\n")
     assert exc.value.line == 4
-    with pytest.raises(sh.FormatError):
-        sh.read_family("turan-fam v1\nm=4 k=2\ns 0 1 2\n")
+    for text, lineno, fragment in (
+        ("turan-fam v1\nm=4 k=2\ns 0 1 2\n", 3, "member has 3 vertices, expected 2"),
+        ("turan-fam v1\nm=4 k=2\ns 0 1\ne 0 2\n", 4, "expected a `s` line, got `e`"),
+        ("turan-fam v1\nm=4 k=2\n# row\ns 0 x\n", 4, "must be integers"),
+        ("turan-fam v1\nm=4 k=2\ns 2 1\n", 3, "increasing"),
+        ("turan-fam v1\nm=4 k=2\n\ns 0 4\n", 4, "out of range"),
+    ):
+        with pytest.raises(sh.FormatError) as exc:
+            sh.read_family(text)
+        assert exc.value.line == lineno
+        assert fragment in str(exc.value)
 
 
 def test_family_io_k0():

@@ -284,12 +284,17 @@ def test_graph_io_round_trip():
         ("turan-g v1\nn=3\ng 0 3\n", "range"),
         ("turan-g v1\nn=3\ng 0 1\ng 1 0\n", "duplicate"),
         ("turan-g v1\nn=3\nz 0 1\n", "expected"),
+        ("turan-g v1\nn=3\ng 0 1\n# a comment\nh 1 2\n", "expected a `g` line"),
+        ("turan-g v1\nn=3\ng 0 1 2\n", "expected 2 integers after `g`, got 3"),
+        ("turan-g v1\nn=3\n\ng 0 one\n", "must be integers"),
     ],
 )
 def test_graph_io_errors(text, fragment):
     with pytest.raises(stb.FormatError) as exc:
         stb.read_graph(text)
     assert fragment in str(exc.value)
+    # every text ends on the line the reader rejects, save a bad magic line
+    assert exc.value.line == (1 if fragment == "header" else text.count("\n"))
 
 
 def test_bipartition_io():
@@ -301,3 +306,17 @@ def test_bipartition_io():
         stb.read_bipartition("p 0 1\np 0 2\np 1 1\np 2 1\n", 3)  # assigned twice
     with pytest.raises(stb.FormatError):
         stb.read_bipartition("p 0 3\np 1 1\np 2 1\n", 3)  # bad side
+    for text, lineno, fragment in (
+        ("p 0 1\nq 1 2\np 2 1\n", 2, "expected a `p` line, got `q`"),
+        ("p 0 1\n\np 1\np 2 1\n", 3, "expected 2 integers after `p`, got 1"),
+        ("# parts\np 0 1\np 1 two\n", 3, "must be integers"),
+    ):
+        with pytest.raises(stb.FormatError) as exc:
+            stb.read_bipartition(text, 3)
+        assert exc.value.line == lineno
+        assert fragment in str(exc.value)
+    # 10^12 vertices: only the first gap is searched for, never all of them
+    with pytest.raises(stb.FormatError) as exc:
+        stb.read_bipartition("p 0 1\n", 10**12)
+    assert exc.value.line is None
+    assert "vertex 1 has no part assignment" in str(exc.value)
