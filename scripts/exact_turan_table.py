@@ -1,9 +1,10 @@
 """Exact maximum edge counts avoiding the 3-part expansion, vs the parity bound.
 
 Runs the branch-and-bound oracle for each n up to the cap and tabulates
-the certified optimum next to the best parity-construction count.  On
-the range covered here the two agree; the table records node counts and
-wall time so growth stays visible.
+the certified optimum next to the best parity-construction count.  The
+two differ below six vertices, where no expanded triangle fits and every
+4-subset is allowed (n=5: exact 5, parity 4); the table also records
+node counts and wall time so growth stays visible.
 
     python3 scripts/exact_turan_table.py --n-max 8
 """

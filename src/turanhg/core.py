@@ -99,10 +99,11 @@ def perfect_matchings(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, int],
 
 
 def _check_members(n: int, size: int, masks: Sequence[int], what: str) -> None:
-    full = (1 << n) - 1 if n else 0
     for m in masks:
-        if m < 0 or m & ~full:
-            raise ValueError(f"{what} {indices_of(m & ~full) or m} out of range for n={n}")
+        if m < 0:
+            raise ValueError(f"{what} {m} out of range for n={n}")
+        if m >> n:
+            raise ValueError(f"{what} {indices_of(m >> n << n)} out of range for n={n}")
         if m.bit_count() != size:
             raise ValueError(
                 f"{what} {indices_of(m)} has {m.bit_count()} vertices, expected {size}"

@@ -12,12 +12,23 @@ exact_turan solves that system by branch and bound over item bitsets:
 
 * the incumbent is seeded with the parity construction, which is known
   conflict free;
-* including an item immediately excludes the third item of any conflict
-  whose other two items are already included;
+* the conflicts are renumbered in increasing order of their item mask,
+  and each item keeps the bitset of the conflicts that hold it, so a
+  node reads conflict state with one AND per item rather than a scan of
+  every conflict;
+* a `dead` bitset of conflicts travels down the recursion next to the
+  included and excluded items: every exclusion (a branch or a forced
+  one) ORs in the excluded item's conflicts, and the rest are live;
+* including an item immediately excludes the third item of any live
+  conflict whose other two items are already included;
 * items in no live conflict are included for free;
 * the bound is items_in + items_undecided - (greedy packing of live
   conflicts with pairwise disjoint undecided supports), since each such
-  conflict forces one more exclusion;
+  conflict forces one more exclusion; the packing takes the two-item
+  supports of live conflicts touching an included item first, sorted,
+  then the untouched live conflicts, lowest index first.  That order
+  (support size, then mask value) fixes which conflicts get packed, and
+  with it the bound and so the node count;
 * branching picks an undecided item in the most live conflicts
   (include branch first), with an optional seeded tie-break order.
 
@@ -107,12 +118,15 @@ def exact_turan(
     nitems = len(items)
     full = (1 << nitems) - 1
 
-    conflict_masks = []
-    item_conf: list[list[int]] = [[] for _ in range(nitems)]
-    for ci, (a, b, d) in enumerate(system.conflicts):
-        conflict_masks.append((1 << a) | (1 << b) | (1 << d))
-        for it in (a, b, d):
-            item_conf[it].append(ci)
+    # conflicts renumbered by increasing item mask, so the lowest set bit
+    # of a conflict bitset is the conflict with the smallest mask
+    triples = sorted(system.conflicts, key=lambda t: (t[2], t[1], t[0]))
+    conflict_masks = [(1 << a) | (1 << b) | (1 << d) for a, b, d in triples]
+    all_conflicts = (1 << len(triples)) - 1
+    conf_of = [0] * nitems  # bitset of the conflicts holding each item
+    for ci, triple in enumerate(triples):
+        for it in triple:
+            conf_of[it] |= 1 << ci
 
     # incumbent: the parity construction is conflict free
     if n >= 4:
@@ -132,21 +146,26 @@ def exact_turan(
     nodes = 0
     truncated = False
 
-    def include(inc: int, exc: int, item: int) -> tuple[int, int] | None:
+    def include(
+        inc: int, exc: int, dead: int, item: int
+    ) -> tuple[int, int, int] | None:
         """Add an item; propagate forced exclusions; None on violation."""
         inc |= 1 << item
-        for ci in item_conf[item]:
-            cm = conflict_masks[ci]
-            if cm & exc:
+        around = conf_of[item] & ~dead
+        while around:
+            low = around & -around
+            around ^= low
+            if low & dead:  # killed by an exclusion forced in this loop
                 continue
-            undecided = cm & ~inc
+            undecided = conflict_masks[low.bit_length() - 1] & ~inc
             if not undecided:
                 return None
-            if undecided.bit_count() == 1 and (cm & inc).bit_count() == 2:
+            if undecided & (undecided - 1) == 0:
                 exc |= undecided
-        return inc, exc
+                dead |= conf_of[undecided.bit_length() - 1]
+        return inc, exc, dead
 
-    def rec(inc: int, exc: int) -> None:
+    def rec(inc: int, exc: int, dead: int) -> None:
         nonlocal best_val, best_mask, nodes, truncated
         if truncated:
             return
@@ -155,59 +174,68 @@ def exact_turan(
             truncated = True
             return
 
+        live = all_conflicts & ~dead
         undecided = full & ~inc & ~exc
-        # free items (in no live conflict) can always be included
-        busy = 0
-        live: list[int] = []
-        for ci, cm in enumerate(conflict_masks):
-            if cm & exc:
-                continue
-            live.append(ci)
-            busy |= cm
-        free = undecided & ~busy
-        inc |= free
-        undecided &= ~free
+        # one pass over the items: free ones (in no live conflict) join
+        # inc, the rest are scored by their number of live conflicts, and
+        # included ones mark the live conflicts they touch
+        touched = 0
+        pick, pick_count, pick_rank = -1, 0, 0
+        for v in range(nitems):
+            if undecided >> v & 1:
+                count = (conf_of[v] & live).bit_count()
+                if not count:
+                    inc |= 1 << v
+                    undecided ^= 1 << v
+                elif count > pick_count or (
+                    count == pick_count and tie_break[v] < pick_rank
+                ):
+                    pick, pick_count, pick_rank = v, count, tie_break[v]
+            elif inc >> v & 1:
+                touched |= conf_of[v]
+        touched &= live
 
-        # greedy packing bound: disjoint undecided supports, small first
-        supports = []
-        for ci in live:
-            sup = conflict_masks[ci] & undecided
-            assert sup  # fully included conflicts are caught on inclusion
-            supports.append((sup.bit_count(), sup))
-        supports.sort()
-        used = 0
-        packing = 0
-        for _, sup in supports:
-            if not sup & used:
-                used |= sup
-                packing += 1
-        bound = inc.bit_count() + undecided.bit_count() - packing
+        # greedy packing bound: disjoint undecided supports, the two-item
+        # supports of touched conflicts first, then untouched conflicts,
+        # each in increasing mask order; packing only lowers the bound, so
+        # it stops once the bound cannot beat the incumbent
+        bound = inc.bit_count() + undecided.bit_count()
         if bound <= best_val:
             return
-        if not undecided or not live:
-            val = inc.bit_count()
-            if val > best_val:
-                best_val, best_mask = val, inc
+        supports = []
+        rest = touched
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            supports.append(conflict_masks[low.bit_length() - 1] & ~inc)
+        supports.sort()
+        used = 0
+        for sup in supports:
+            if not sup & used:
+                used |= sup
+                bound -= 1
+        candidates = live & ~touched
+        while used:
+            top = used.bit_length() - 1
+            candidates &= ~conf_of[top]
+            used ^= 1 << top
+        while candidates and bound > best_val:
+            bound -= 1
+            for it in triples[(candidates & -candidates).bit_length() - 1]:
+                candidates &= ~conf_of[it]
+        if bound <= best_val:
+            return
+        if pick < 0:
+            best_val, best_mask = inc.bit_count(), inc
             return
 
-        # branch on the undecided item hitting the most live conflicts
-        counts = [0] * nitems
-        for ci in live:
-            cm = conflict_masks[ci] & undecided
-            while cm:
-                low = cm & -cm
-                counts[low.bit_length() - 1] += 1
-                cm ^= low
-        pick = max(
-            (v for v in range(nitems) if undecided >> v & 1),
-            key=lambda v: (counts[v], -tie_break[v]),
-        )
-        grown = include(inc, exc, pick)
+        # branch on the undecided item in the most live conflicts
+        grown = include(inc, exc, dead, pick)
         if grown is not None:
             rec(*grown)
-        rec(inc, exc | (1 << pick))
+        rec(inc, exc | (1 << pick), dead | conf_of[pick])
 
-    rec(0, 0)
+    rec(0, 0, 0)
 
     edges = tuple(sorted(items[i] for i in range(nitems) if best_mask >> i & 1))
     witness = Hypergraph(n, 2, edges)

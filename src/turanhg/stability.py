@@ -59,9 +59,8 @@ class SimpleGraph:
     def __post_init__(self):
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows, expected {self.n}")
-        full = (1 << self.n) - 1 if self.n else 0
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise ValueError(f"row {v} mentions vertices >= {self.n}")
             if row >> v & 1:
                 raise ValueError(f"self loop at {v}")

@@ -250,6 +250,13 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "color", "verify", "--file", str(col))
     assert (code, out) == (2, "")
     assert err == "error: pair (0, 2) has no color\n"
+    # 10^12 vertices: the edge range check must not build a 2^n mask
+    hg.write_text("turan-hg v1\nn=1000000000000 k=2\n")
+    code, out, err = run(
+        capsys, "stability", "census", "--file", str(hg), "--partition", str(part)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: vertex 1 has no part assignment\n"
 
 
 def _readme_commands():

@@ -67,6 +67,15 @@ def test_hypergraph_validation():
         core.hypergraph(4, 2, [0b11110])  # vertex out of range
     with pytest.raises(ValueError):
         core.Hypergraph(5, 2, (0b1111, 0b1111))  # raw constructor: duplicate
+    # the message names the vertices past n, or the mask when it is negative
+    with pytest.raises(ValueError, match=r"edge \(4, 6\) out of range for n=4"):
+        core.hypergraph(4, 2, [0b1010011])
+    with pytest.raises(ValueError, match="edge -15 out of range for n=4"):
+        core.Hypergraph(4, 2, (-15,))
+    # the range test builds no mask as wide as the ground set
+    with pytest.raises(ValueError, match=r"edge \(60,\) out of range for n=60"):
+        core.hypergraph(60, 2, [1 << 60 | 0b111])
+    assert core.Hypergraph(10**15, 2, ()).edge_count == 0
     # the canonicalizing builder dedupes instead
     assert core.hypergraph(5, 2, [0b1111, 0b1111]).edge_count == 1
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -120,12 +121,14 @@ def test_exact_turan_cap():
 
 
 def test_exact_turan_truncation():
-    r = sr.exact_turan(7, max_nodes=2)
-    assert not r.proof_of_optimality
-    assert r.nodes <= 3
-    # incumbent from the parity construction survives truncation
-    assert r.value >= optimal_shift(7, 2).max_edges
-    assert find_expansion(r.witness, 3) is None
+    # a cut search counts the node that crossed the budget and stops there
+    for budget in range(6):
+        r = sr.exact_turan(7, max_nodes=budget)
+        assert not r.proof_of_optimality
+        assert r.nodes == budget + 1
+        # incumbent from the parity construction survives truncation
+        assert r.value >= optimal_shift(7, 2).max_edges
+        assert find_expansion(r.witness, 3) is None
 
 
 def test_conflict_system_container():
@@ -133,3 +136,119 @@ def test_conflict_system_container():
     assert isinstance(cs, sr.ConflictSystem)
     assert cs.n == 6
     assert len(cs.items) == 15
+
+
+def _reference_exact_turan(n, *, cap=8, seed=None, max_nodes=None):
+    """exact_turan with the per-conflict scan at every node.
+
+    Each node walks every conflict triple to find the live ones, builds
+    each live conflict's undecided support and counts item degrees from
+    scratch.  The branching rule, bound and visit order are those of
+    exact_turan, so the two must agree node for node.
+    """
+    if n > cap:
+        raise ValueError(n)
+    system = sr.conflict_triples(n)
+    items = system.items
+    nitems = len(items)
+    full = (1 << nitems) - 1
+    conflict_masks = []
+    item_conf = [[] for _ in range(nitems)]
+    for ci, (a, b, d) in enumerate(system.conflicts):
+        conflict_masks.append((1 << a) | (1 << b) | (1 << d))
+        for it in (a, b, d):
+            item_conf[it].append(ci)
+    best_mask, best_val = 0, 0
+    if n >= 4:
+        idx = {m: i for i, m in enumerate(items)}
+        for e in sr.lower_bound_construction(n).edges:
+            best_mask |= 1 << idx[e]
+        best_val = best_mask.bit_count()
+    tie_break = list(range(nitems))
+    if seed is not None:
+        random.Random(seed).shuffle(tie_break)
+    nodes = 0
+    truncated = False
+
+    def include(inc, exc, item):
+        inc |= 1 << item
+        for ci in item_conf[item]:
+            cm = conflict_masks[ci]
+            if cm & exc:
+                continue
+            undecided = cm & ~inc
+            if not undecided:
+                return None
+            if undecided.bit_count() == 1 and (cm & inc).bit_count() == 2:
+                exc |= undecided
+        return inc, exc
+
+    def rec(inc, exc):
+        nonlocal best_val, best_mask, nodes, truncated
+        if truncated:
+            return
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            truncated = True
+            return
+        undecided = full & ~inc & ~exc
+        busy = 0
+        live = []
+        for ci, cm in enumerate(conflict_masks):
+            if cm & exc:
+                continue
+            live.append(ci)
+            busy |= cm
+        free = undecided & ~busy
+        inc |= free
+        undecided &= ~free
+        supports = []
+        for ci in live:
+            sup = conflict_masks[ci] & undecided
+            assert sup  # fully included conflicts are caught on inclusion
+            supports.append((sup.bit_count(), sup))
+        supports.sort()
+        used = 0
+        packing = 0
+        for _, sup in supports:
+            if not sup & used:
+                used |= sup
+                packing += 1
+        bound = inc.bit_count() + undecided.bit_count() - packing
+        if bound <= best_val:
+            return
+        if not undecided or not live:
+            best_val, best_mask = inc.bit_count(), inc
+            return
+        counts = [0] * nitems
+        for ci in live:
+            cm = conflict_masks[ci] & undecided
+            while cm:
+                low = cm & -cm
+                counts[low.bit_length() - 1] += 1
+                cm ^= low
+        pick = max(
+            (v for v in range(nitems) if undecided >> v & 1),
+            key=lambda v: (counts[v], -tie_break[v]),
+        )
+        grown = include(inc, exc, pick)
+        if grown is not None:
+            rec(*grown)
+        rec(inc, exc | (1 << pick))
+
+    rec(0, 0)
+    edges = tuple(sorted(items[i] for i in range(nitems) if best_mask >> i & 1))
+    return best_val, nodes, not truncated, edges
+
+
+_REFERENCE_CASES = [
+    (n, seed, 8, None) for n in range(9) for seed in (None, 0, 1, 2, 3)
+] + [(9, seed, 9, budget) for budget in (50, 300) for seed in (4, 5)]
+
+
+@pytest.mark.parametrize("n, seed, cap, max_nodes", _REFERENCE_CASES)
+def test_exact_turan_matches_reference_scan(n, seed, cap, max_nodes):
+    # same value, node count, proof flag and witness as the full scan
+    r = sr.exact_turan(n, cap=cap, seed=seed, max_nodes=max_nodes)
+    got = (r.value, r.nodes, r.proof_of_optimality, r.witness.edges)
+    assert got == _reference_exact_turan(n, cap=cap, seed=seed, max_nodes=max_nodes)

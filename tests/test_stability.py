@@ -22,6 +22,8 @@ def test_simple_graph_validation():
         stb.simple_graph(3, [(0, 5)])
     with pytest.raises(ValueError):
         stb.SimpleGraph(3, (0b010, 0, 0))  # asymmetric adjacency
+    with pytest.raises(ValueError, match="row 0 mentions vertices >= 2"):
+        stb.SimpleGraph(2, (0b110, 0b001))
 
 
 def test_turan_graph_counts():
