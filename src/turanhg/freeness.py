@@ -9,10 +9,18 @@ clique correspond to r-cliques of G, and every edge of H splits into
 C(2k, k)/2 auxiliary edges, so e(G) = C(2k, k)/2 * e(H).
 
 Every question is answered on the materialized graph (C(n, k) vertices,
-one adjacency bitset each) by one exact branch and bound with a greedy
-coloring bound.  Maximality needs no second graph: a new edge e creates
-a copy exactly when some split (P, Q) of e has an (r - 2)-clique inside
-N(P) & N(Q), and that common neighbourhood is always disjoint from e.
+one adjacency bitset each) by one clique engine in two stages.  First a
+DSATUR coloring (Brelaz 1979) looks for a proper coloring with fewer
+than r colors, which proves that no r-clique exists: this is the
+paper's pigeonhole argument, found rather than assumed (parity of
+|P & V1| 2-colors the parity constructions, the GF(2)^p label
+2^p-colors the XOR ones).  The classes are checked to be independent
+before they are trusted, so a coloring fault can only cost time, never
+give a wrong "free".  When no such coloring turns up, an exact branch
+and bound with a greedy coloring bound decides.  Maximality needs no
+second graph: a new edge e creates a copy exactly when some split
+(P, Q) of e has an (r - 2)-clique inside N(P) & N(Q), and that common
+neighbourhood is always disjoint from e.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Hypergraph, enumerate_ksubsets, indices_of
+from .core import Hypergraph, enumerate_ksubsets, indices_of, mask_of
 
 
 @dataclass(frozen=True)
@@ -50,15 +58,36 @@ def _edge_splits(edge: int, k: int):
 
 def auxiliary_graph(h: Hypergraph) -> AuxGraph:
     """Build the auxiliary graph of H: P ~ Q when P | Q is an edge."""
-    subsets = tuple(enumerate_ksubsets(h.n, h.k))
+    k = h.k
+    subsets = tuple(enumerate_ksubsets(h.n, k))
     index = {s: i for i, s in enumerate(subsets)}
-    adj = [0] * len(subsets)
+    # positions of P among an edge's sorted vertices; P holds the lowest
+    patterns = [(0, *rest) for rest in combinations(range(1, 2 * k), k - 1)]
+    nbrs: list[list[int]] = [[] for _ in subsets]
     for e in h.edges:
-        for p, q in _edge_splits(e, h.k):
-            ip, iq = index[p], index[q]
-            adj[ip] |= 1 << iq
-            adj[iq] |= 1 << ip
-    return AuxGraph(h.n, h.k, subsets, tuple(adj))
+        bits = []
+        rest = e
+        while rest:
+            low = rest & -rest
+            bits.append(low)
+            rest ^= low
+        for pattern in patterns:
+            p = 0
+            for i in pattern:
+                p |= bits[i]
+            ip, iq = index[p], index[e ^ p]
+            nbrs[ip].append(iq)
+            nbrs[iq].append(ip)
+    # each bitset is read once from an ASCII binary numeral: digit j is
+    # set, then the row is reversed to put the highest index first
+    adj = []
+    for row in nbrs:
+        digits = bytearray(b"0" * len(subsets))
+        for j in row:
+            digits[j] = 49  # ord("1")
+        digits.reverse()
+        adj.append(int(digits, 2))
+    return AuxGraph(h.n, k, subsets, tuple(adj))
 
 
 def _clique_in(adj: tuple[int, ...], cand: int, r: int) -> tuple[int, ...] | None:
@@ -104,8 +133,72 @@ def _clique_in(adj: tuple[int, ...], cand: int, r: int) -> tuple[int, ...] | Non
     return expand(cand)
 
 
+def _colouring_below(adj: tuple[int, ...], r: int) -> tuple[int, ...] | None:
+    """Color classes (bitsets) of a proper coloring with fewer than r colors, or None.
+
+    DSATUR on bitsets: bysat[j] holds the uncolored vertices that see j
+    colors and near[c] the vertices adjacent to class c.  The lowest
+    vertex of the highest nonempty bucket takes the least color its
+    neighbours lack, and its neighbours new to that color move up one
+    bucket.  Gives up as soon as a vertex needs color r - 1.  None is
+    also returned for a coloring that fails the final check (every
+    vertex colored, every class independent), so a fault here can only
+    send the caller to the exact search.
+    """
+    if r < 1:
+        return None  # the empty set is a clique of every size below 1
+    full = (1 << len(adj)) - 1
+    bysat = [full]
+    near: list[int] = []
+    classes: list[int] = []
+    top = 0  # highest possibly nonempty bucket
+    while True:
+        while top >= 0 and not bysat[top]:
+            top -= 1
+        if top < 0:
+            break
+        low = bysat[top] & -bysat[top]
+        bysat[top] ^= low
+        v = low.bit_length() - 1
+        c = 0
+        while c < len(near) and near[c] & low:
+            c += 1
+        if c >= r - 1:
+            return None
+        if c == len(near):
+            near.append(0)
+            classes.append(0)
+            bysat.append(0)
+        classes[c] |= low
+        fresh = adj[v] & ~near[c]
+        near[c] |= adj[v]
+        for j in range(top, -1, -1):
+            moved = bysat[j] & fresh
+            if moved:
+                bysat[j] ^= moved
+                bysat[j + 1] |= moved
+                top = max(top, j + 1)
+    covered = 0
+    for cls in classes:
+        rest = cls
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & cls:
+                return None
+            rest ^= low
+        covered |= cls
+    return tuple(classes) if covered == full else None
+
+
 def find_clique(adj: tuple[int, ...], r: int) -> tuple[int, ...] | None:
-    """Some r-clique of the graph given as adjacency bitsets, or None."""
+    """Some r-clique of the graph given as adjacency bitsets, or None.
+
+    A proper coloring with fewer than r colors, once its classes are
+    checked independent, proves there is none; otherwise the exact
+    branch and bound decides.
+    """
+    if _colouring_below(adj, r) is not None:
+        return None
     return _clique_in(adj, (1 << len(adj)) - 1, r)
 
 
@@ -114,9 +207,30 @@ def find_expansion(h: Hypergraph, r: int) -> tuple[int, ...] | None:
 
     Returns r pairwise disjoint k-subset masks whose pairwise unions are
     all edges of h: the subsets of an r-clique of the auxiliary graph.
+    For r >= 2 a k-subset holding a vertex in no edge is isolated in
+    that graph and changes neither verdict nor witness, so the search
+    runs on the covered vertices, relabelled in order, and maps back.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    used = 0
+    for e in h.edges:
+        used |= e
+    if r == 1 or used.bit_count() == h.n:
+        return _expansion_in(h, r)
+    verts = indices_of(used)
+    label = {v: i for i, v in enumerate(verts)}
+    inner = Hypergraph(
+        len(verts), h.k, tuple(mask_of(label[v] for v in indices_of(e)) for e in h.edges)
+    )
+    got = _expansion_in(inner, r)
+    if got is None:
+        return None
+    return tuple(mask_of(verts[i] for i in indices_of(p)) for p in got)
+
+
+def _expansion_in(h: Hypergraph, r: int) -> tuple[int, ...] | None:
+    """Branch sets of an r-clique of h's full auxiliary graph, or None."""
     g = auxiliary_graph(h)
     got = find_clique(g.adj, r)
     if got is None:

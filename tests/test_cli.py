@@ -257,6 +257,9 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: vertex 1 has no part assignment\n"
+    # no edge covers a vertex, so the freeness check has nothing to build
+    code, out, err = run(capsys, "check", "free", "--file", str(hg), "--r", "3")
+    assert (code, out, err) == (0, "free\n", "")
 
 
 def _readme_commands():

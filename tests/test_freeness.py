@@ -5,8 +5,8 @@ import pytest
 
 from turanhg import freeness as fr
 from turanhg.construct import build_parity, build_sidorenko
-from turanhg.core import binom_exact, enumerate_ksubsets, hypergraph, indices_of
-from turanhg.krawtchouk import Shift
+from turanhg.core import binom_exact, enumerate_ksubsets, hypergraph, indices_of, mask_of
+from turanhg.krawtchouk import Shift, optimal_shift
 
 
 def brute_force_expansion(h, r):
@@ -40,6 +40,161 @@ def validate_copy(h, r, copy):
     edges = h.edge_set()
     for a, b in combinations(copy, 2):
         assert (a | b) in edges
+
+
+def reference_splits(edge, k):
+    """Unordered pairs (P, Q) of disjoint k-subsets with P | Q == edge."""
+    verts = indices_of(edge)
+    low = verts[0]
+    for rest in combinations(verts[1:], k - 1):
+        p = 1 << low
+        for v in rest:
+            p |= 1 << v
+        yield p, edge ^ p
+
+
+def reference_auxiliary_graph(h):
+    """Reference build: one dict lookup and two big-int ORs per split."""
+    subsets = tuple(enumerate_ksubsets(h.n, h.k))
+    index = {s: i for i, s in enumerate(subsets)}
+    adj = [0] * len(subsets)
+    for e in h.edges:
+        for p, q in reference_splits(e, h.k):
+            ip, iq = index[p], index[q]
+            adj[ip] |= 1 << iq
+            adj[iq] |= 1 << ip
+    return fr.AuxGraph(h.n, h.k, subsets, tuple(adj))
+
+
+def best_parity(n, k):
+    return build_parity(n, k, optimal_shift(n, k).maximizers[0])[0]
+
+
+
+
+def test_auxiliary_graph_matches_reference_on_random_inputs():
+    rng = random.Random(41)
+    cases = [hypergraph(n, k, []) for k in (1, 2, 3) for n in (0, 2 * k, 2 * k + 3)]
+    for _ in range(60):
+        k = rng.choice((1, 2, 3))
+        n = rng.randrange(2 * k, 11)
+        density = rng.uniform(0.05, 0.5)
+        pool = list(enumerate_ksubsets(n, 2 * k))
+        cases.append(hypergraph(n, k, [m for m in pool if rng.random() < density]))
+    for h in cases:
+        assert fr.auxiliary_graph(h) == reference_auxiliary_graph(h)
+
+
+def test_auxiliary_graph_matches_reference_on_certify_inputs():
+    # the inputs of the benchmark's certify workload
+    inputs = [best_parity(n, 2) for n in (16, 20, 24, 28)] + [best_parity(18, 3)]
+    inputs += [build_sidorenko(n, 2, 2)[0] for n in (16, 20)]
+    for h in inputs:
+        assert fr.auxiliary_graph(h) == reference_auxiliary_graph(h)
+
+
+def verify_free_certificate(h, r, classes):
+    """Check, from h.edges alone, that classes over the lexicographic
+    k-subset indices properly color the auxiliary graph with < r colors."""
+    subsets = list(enumerate_ksubsets(h.n, h.k))
+    if len(classes) >= r:
+        return False
+    color = {}
+    for c, cls in enumerate(classes):
+        for i in indices_of(cls):
+            if i >= len(subsets) or subsets[i] in color:
+                return False
+            color[subsets[i]] = c
+    if len(color) != len(subsets):
+        return False
+    for e in h.edges:
+        verts = indices_of(e)
+        for part in combinations(verts, h.k):
+            p = mask_of(part)
+            if color[p] == color[e ^ p]:
+                return False
+    return True
+
+
+def certificate(h, r):
+    return fr._colouring_below(fr.auxiliary_graph(h).adj, r)
+
+
+def moved_vertex(adj, classes):
+    """The certificate with one vertex of class 0 moved into class 1."""
+    v = next(i for i in indices_of(classes[0]) if adj[i] & classes[1])
+    return (classes[0] ^ 1 << v, classes[1] | 1 << v, *classes[2:])
+
+
+def test_colouring_certifies_the_constructions():
+    cases = []
+    for k in (1, 2, 3):
+        for n in range(2 * k, 13):
+            for two_t in range(n % 2, n + 1, 2):
+                cases.append((build_parity(n, k, Shift(two_t))[0], 3))
+    cases += [(build_sidorenko(32, 2, 2)[0], 5), (build_sidorenko(32, 2, 3)[0], 9)]
+    for h, r in cases:
+        classes = certificate(h, r)
+        assert classes is not None, (h.n, h.k, r)
+        assert verify_free_certificate(h, r, classes)
+        if h.edges:
+            adj = fr.auxiliary_graph(h).adj
+            assert not verify_free_certificate(h, r, moved_vertex(adj, classes))
+            assert not verify_free_certificate(h, len(classes), classes)
+
+
+def test_colouring_below_never_hides_a_copy():
+    # the inputs of test_find_expansion_matches_brute_force
+    rng = random.Random(5)
+    fired = 0
+    for _ in range(120):
+        n = rng.randrange(4, 9)
+        pool = list(enumerate_ksubsets(n, 4))
+        edges = [m for m in pool if rng.random() < 0.3]
+        h = hypergraph(n, 2, edges)
+        for r in (2, 3):
+            classes = certificate(h, r)
+            if classes is not None:
+                fired += 1
+                assert verify_free_certificate(h, r, classes)
+                assert brute_force_expansion(h, r) is None
+    assert fired
+
+
+def test_colouring_gives_up_on_graphs_with_cliques():
+    n = 7
+    adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    for r in range(0, n + 1):
+        assert fr._colouring_below(adj, r) is None
+    assert len(fr._colouring_below(adj, n + 1)) == n
+    assert fr._colouring_below([], 1) == ()
+    assert fr._colouring_below([], 0) is None
+
+
+def test_certify_inputs_never_reach_the_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fell back to the branch and bound")
+
+    monkeypatch.setattr(fr, "_clique_in", refuse)
+    for h, r in [(best_parity(28, 2), 3), (best_parity(28, 2), 5), (build_sidorenko(32, 2, 2)[0], 5)]:
+        assert fr.find_clique(fr.auxiliary_graph(h).adj, r) is None
+        assert fr.find_expansion(h, r) is None
+
+
+def test_find_expansion_ignores_uncovered_vertices():
+    # a copy on vertices 0..5 inside a header of 10^12 vertices, and the
+    # same copy relabelled in order into a smaller vertex set
+    edges = [mask_of(a + b) for a, b in combinations([(0, 3), (1, 4), (2, 5)], 2)]
+    big = hypergraph(10**12, 2, edges)
+    assert fr.find_expansion(big, 4) is None
+    copy = fr.find_expansion(big, 3)
+    validate_copy(big, 3, copy)
+    assert fr.find_expansion(hypergraph(10**12, 2, []), 2) is None
+    spread = {0: 2, 1: 5, 2: 7, 3: 8, 4: 11, 5: 13}
+    wide = hypergraph(14, 2, [mask_of(spread[v] for v in indices_of(e)) for e in edges])
+    assert fr.find_expansion(wide, 3) == tuple(
+        mask_of(spread[v] for v in indices_of(p)) for p in copy
+    )
 
 
 def test_auxiliary_graph_edge_identity():
