@@ -5,8 +5,9 @@ The package is organized around a handful of small modules:
 - :mod:`turanhg.core` - hypergraph containers, bitmask helpers, file I/O
 - :mod:`turanhg.krawtchouk` - binary Krawtchouk polynomials and the
   edge-maximizing bipartition shift
-- :mod:`turanhg.construct` - the parity bipartition construction and the
-  GF(2)^p labelled construction, with closed-form counts
+- :mod:`turanhg.construct` - bipartition shifts, the parity bipartition
+  construction and the GF(2)^p labelled construction, with closed-form
+  counts
 - :mod:`turanhg.freeness` - expanded-clique search via an auxiliary graph
 - :mod:`turanhg.algebra` - edge colorings of complete graphs and the group
   structure forced by the 4-set color condition
@@ -32,6 +33,7 @@ from .algebra import (
 from .construct import (
     Bipartition,
     GF2Labeling,
+    Shift,
     build_parity,
     build_sidorenko,
     label_xor,
@@ -55,15 +57,7 @@ from .core import (
     write_hypergraph,
 )
 from .freeness import AuxGraph, auxiliary_graph, find_clique, find_expansion, is_maximal_free
-from .krawtchouk import (
-    OptimalShiftReport,
-    Shift,
-    genfunc_row,
-    kraw_eval,
-    kraw_shifted,
-    levenshtein_window,
-    optimal_shift,
-)
+from .krawtchouk import OptimalShiftReport, genfunc_row, kraw_eval, optimal_shift
 from .search import (
     ConflictSystem,
     SearchResult,
@@ -133,9 +127,7 @@ __all__ = [
     "indices_of",
     "is_maximal_free",
     "kraw_eval",
-    "kraw_shifted",
     "label_xor",
-    "levenshtein_window",
     "lovasz_x",
     "lower_bound_construction",
     "mask_of",

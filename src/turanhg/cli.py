@@ -10,6 +10,7 @@ a header line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import algebra, construct, core, freeness, krawtchouk, search, shadow, stability
@@ -30,6 +31,17 @@ def _emit(text: str, out: str | None) -> None:
 
 def _bool_str(b: bool) -> str:
     return "true" if b else "false"
+
+
+def _record(tsv: bool, **fields) -> None:
+    """Print fields as `name value` lines, or as a TSV header and one row."""
+    values = [_bool_str(v) if isinstance(v, bool) else str(v) for v in fields.values()]
+    if tsv:
+        print("\t".join(fields))
+        print("\t".join(values))
+    else:
+        for name, value in zip(fields, values):
+            print(f"{name} {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,18 +240,7 @@ def _cmd_color(args) -> int:
 def _cmd_shadow(args) -> int:
     fam = shadow.read_family(_read_text(args.file))
     report = shadow.check_lovasz_bound(fam)
-    if args.tsv:
-        print("size\tx\tbound\tshadow_size\tholds")
-        print(
-            f"{report.size}\t{report.x!r}\t{report.bound!r}"
-            f"\t{report.shadow_size}\t{_bool_str(report.holds)}"
-        )
-    else:
-        print(f"size {report.size}")
-        print(f"x {report.x!r}")
-        print(f"bound {report.bound!r}")
-        print(f"shadow_size {report.shadow_size}")
-        print(f"holds {_bool_str(report.holds)}")
+    _record(args.tsv, **dataclasses.asdict(report))
     return 0 if report.holds else 1
 
 
@@ -259,17 +260,7 @@ def _cmd_stability(args) -> int:
     part = stability.read_bipartition(_read_text(args.partition), h.n)
     if args.subcommand == "census":
         census = stability.classify_tuples(h, part, force=args.force)
-        if args.tsv:
-            print("good_edges\tbad_edges\tgood_non_edges\tbad_non_edges")
-            print(
-                f"{census.good_edges}\t{census.bad_edges}"
-                f"\t{census.good_non_edges}\t{census.bad_non_edges}"
-            )
-        else:
-            print(f"good_edges {census.good_edges}")
-            print(f"bad_edges {census.bad_edges}")
-            print(f"good_non_edges {census.good_non_edges}")
-            print(f"bad_non_edges {census.bad_non_edges}")
+        _record(args.tsv, **dataclasses.asdict(census))
         return 0
     improved = stability.improve_partition(h, part)
     _emit(stability.write_bipartition(improved), args.out)
@@ -289,13 +280,12 @@ def _cmd_search(args) -> int:
     result = search.exact_turan(args.n, cap=args.cap, seed=args.seed)
     if args.witness:
         _emit(core.write_hypergraph(result.witness), args.witness)
-    if args.tsv:
-        print("value\tnodes\toptimal")
-        print(f"{result.value}\t{result.nodes}\t{_bool_str(result.proof_of_optimality)}")
-    else:
-        print(f"value {result.value}")
-        print(f"nodes {result.nodes}")
-        print(f"optimal {_bool_str(result.proof_of_optimality)}")
+    _record(
+        args.tsv,
+        value=result.value,
+        nodes=result.nodes,
+        optimal=result.proof_of_optimality,
+    )
     return 0
 
 

@@ -24,8 +24,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Hypergraph, binom_exact, enumerate_ksubsets
-from .krawtchouk import Shift
+from .core import Hypergraph, binom_exact, enumerate_ksubsets, mask_of
+
+
+@dataclass(frozen=True, order=True)
+class Shift:
+    """Bipartition shift t stored as the integer 2t."""
+
+    two_t: int
+
+    def feasible(self, n: int) -> bool:
+        """True iff n/2 + t and n/2 - t are both nonnegative integers."""
+        return abs(self.two_t) <= n and (n + self.two_t) % 2 == 0
+
+    def part_sizes(self, n: int) -> tuple[int, int]:
+        """(n/2 + t, n/2 - t) as exact integers."""
+        if not self.feasible(n):
+            raise ValueError(f"shift 2t={self.two_t} infeasible for n={n}")
+        return (n + self.two_t) // 2, (n - self.two_t) // 2
 
 
 @dataclass(frozen=True)
@@ -43,11 +59,7 @@ class Bipartition:
 
     def mask(self, part: int) -> int:
         """Bitmask of the vertices in the given part."""
-        m = 0
-        for v, p in enumerate(self.part_of):
-            if p == part:
-                m |= 1 << v
-        return m
+        return mask_of(v for v, p in enumerate(self.part_of) if p == part)
 
     def sizes(self) -> tuple[int, int]:
         n1 = sum(1 for p in self.part_of if p == 1)

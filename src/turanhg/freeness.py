@@ -17,16 +17,18 @@ paper's pigeonhole argument, found rather than assumed (parity of
 2^p-colors the XOR ones).  The classes are checked to be independent
 before they are trusted, so a coloring fault can only cost time, never
 give a wrong "free".  When no such coloring turns up, an exact branch
-and bound with a greedy coloring bound decides.  Maximality needs no
-second graph: a new edge e creates a copy exactly when some split
-(P, Q) of e has an (r - 2)-clique inside N(P) & N(Q), and that common
-neighbourhood is always disjoint from e.
+and bound with a greedy coloring bound decides.  For r >= 2 both
+questions first drop the vertices that no edge covers.  Maximality
+needs no second graph: a new edge e creates a copy exactly when some
+split (P, Q) of e has an (r - 2)-clique inside N(P) & N(Q), and that
+common neighbourhood is always disjoint from e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .core import Hypergraph, enumerate_ksubsets, indices_of, mask_of
 
@@ -45,15 +47,19 @@ class AuxGraph:
         return sum(a.bit_count() for a in self.adj) // 2
 
 
-def _edge_splits(edge: int, k: int):
-    """Unordered pairs (P, Q) of disjoint k-subsets with P | Q == edge."""
-    verts = indices_of(edge)
-    low = verts[0]
-    for rest in combinations(verts[1:], k - 1):
-        p = 1 << low
-        for v in rest:
-            p |= 1 << v
-        yield p, edge ^ p
+def _split_patterns(k: int) -> list[tuple[int, ...]]:
+    """Positions of P among an edge's sorted vertices; P holds the lowest."""
+    return [(0, *rest) for rest in combinations(range(1, 2 * k), k - 1)]
+
+
+def _splits(edge: int, patterns: list[tuple[int, ...]]) -> Iterator[int]:
+    """P of each unordered split (P, edge ^ P) into disjoint k-subsets."""
+    bits = [1 << v for v in indices_of(edge)]
+    for pattern in patterns:
+        p = 0
+        for i in pattern:
+            p |= bits[i]
+        yield p
 
 
 def auxiliary_graph(h: Hypergraph) -> AuxGraph:
@@ -61,10 +67,10 @@ def auxiliary_graph(h: Hypergraph) -> AuxGraph:
     k = h.k
     subsets = tuple(enumerate_ksubsets(h.n, k))
     index = {s: i for i, s in enumerate(subsets)}
-    # positions of P among an edge's sorted vertices; P holds the lowest
-    patterns = [(0, *rest) for rest in combinations(range(1, 2 * k), k - 1)]
+    patterns = _split_patterns(k)
     nbrs: list[list[int]] = [[] for _ in subsets]
     for e in h.edges:
+        # _splits inlined: this loop is most of a freeness call
         bits = []
         rest = e
         while rest:
@@ -202,63 +208,76 @@ def find_clique(adj: tuple[int, ...], r: int) -> tuple[int, ...] | None:
     return _clique_in(adj, (1 << len(adj)) - 1, r)
 
 
+def _on_covered(h: Hypergraph) -> tuple[Hypergraph, tuple[int, ...]]:
+    """h on the vertices its edges cover, relabelled in order, and those vertices.
+
+    For r >= 2 a k-subset holding a vertex in no edge is isolated in the
+    auxiliary graph, so the freeness verdict and witness do not change.
+    """
+    used = 0
+    for e in h.edges:
+        used |= e
+    verts = indices_of(used)
+    if len(verts) == h.n:
+        return h, verts
+    label = {v: i for i, v in enumerate(verts)}
+    inner = Hypergraph(
+        len(verts), h.k, tuple(mask_of(label[v] for v in indices_of(e)) for e in h.edges)
+    )
+    return inner, verts
+
+
 def find_expansion(h: Hypergraph, r: int) -> tuple[int, ...] | None:
     """Branch sets of some expanded-clique copy with r parts, or None.
 
     Returns r pairwise disjoint k-subset masks whose pairwise unions are
     all edges of h: the subsets of an r-clique of the auxiliary graph.
-    For r >= 2 a k-subset holding a vertex in no edge is isolated in
-    that graph and changes neither verdict nor witness, so the search
-    runs on the covered vertices, relabelled in order, and maps back.
+    For r >= 2 the search runs on the covered vertices (_on_covered)
+    and maps the witness back.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    used = 0
-    for e in h.edges:
-        used |= e
-    if r == 1 or used.bit_count() == h.n:
-        return _expansion_in(h, r)
-    verts = indices_of(used)
-    label = {v: i for i, v in enumerate(verts)}
-    inner = Hypergraph(
-        len(verts), h.k, tuple(mask_of(label[v] for v in indices_of(e)) for e in h.edges)
-    )
-    got = _expansion_in(inner, r)
-    if got is None:
-        return None
-    return tuple(mask_of(verts[i] for i in indices_of(p)) for p in got)
-
-
-def _expansion_in(h: Hypergraph, r: int) -> tuple[int, ...] | None:
-    """Branch sets of an r-clique of h's full auxiliary graph, or None."""
-    g = auxiliary_graph(h)
+    inner, verts = (h, None) if r == 1 else _on_covered(h)
+    g = auxiliary_graph(inner)
     got = find_clique(g.adj, r)
     if got is None:
         return None
-    return tuple(g.subsets[i] for i in got)
+    branch = [g.subsets[i] for i in got]
+    if inner is h:
+        return tuple(branch)
+    return tuple(mask_of(verts[j] for j in indices_of(p)) for p in branch)
 
 
 def is_maximal_free(h: Hypergraph, r: int) -> bool:
     """True iff h is expanded-clique free and adding any new edge is not.
 
-    Raises ValueError when h already contains a copy.
+    Raises ValueError when h already contains a copy.  When some vertex
+    u lies in no edge, no scan is needed.  For r >= 3 each branch set
+    of a copy through a new edge e also lies in an old edge, so a new
+    edge through u (one exists when n >= 2k) creates no copy and h is
+    not maximal.  For r = 2 a free h has no edges, and every new edge
+    is a copy by itself.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    g = auxiliary_graph(h)
+    inner = h if r == 1 else _on_covered(h)[0]
+    g = auxiliary_graph(inner)
     if find_clique(g.adj, r) is not None:
         raise ValueError("hypergraph already contains an expanded clique")
     if r < 2:
         return False  # any k-subset alone is a copy with r = 1
+    if inner is not h:
+        return r == 2 or h.n < 2 * h.k
     index = {s: i for i, s in enumerate(g.subsets)}
     adj = g.adj
+    patterns = _split_patterns(h.k)
     edge_set = h.edge_set()
     for e in enumerate_ksubsets(h.n, 2 * h.k):
         if e in edge_set:
             continue
         if not any(
-            _clique_in(adj, adj[index[p]] & adj[index[q]], r - 2) is not None
-            for p, q in _edge_splits(e, h.k)
+            _clique_in(adj, adj[index[p]] & adj[index[e ^ p]], r - 2) is not None
+            for p in _splits(e, patterns)
         ):
             return False
     return True

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import Bipartition, parity_edge_count
+from .construct import Bipartition, Shift, parity_edge_count
 from .core import (
     FormatError,
     Hypergraph,
@@ -44,9 +44,10 @@ from .core import (
     _read_rows,
     _write_rows,
     binom_exact,
+    indices_of,
+    mask_of,
 )
 from .freeness import find_clique
-from .krawtchouk import Shift
 
 
 @dataclass(frozen=True)
@@ -64,26 +65,16 @@ class SimpleGraph:
                 raise ValueError(f"row {v} mentions vertices >= {self.n}")
             if row >> v & 1:
                 raise ValueError(f"self loop at {v}")
-            w = row
-            while w:
-                low = w & -w
-                u = low.bit_length() - 1
+            for u in indices_of(row):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"edge ({v}, {u}) is not symmetric")
-                w ^= low
+
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            w = self.adj[v] >> (v + 1) << (v + 1)
-            while w:
-                low = w & -w
-                out.append((v, low.bit_length() - 1))
-                w ^= low
-        return out
+        return [(v, u) for v in range(self.n) for u in indices_of(self.adj[v]) if u > v]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -240,9 +231,7 @@ class SimonovitsReport:
 def _internal_edges(g: SimpleGraph, parts: list[list[int]]) -> int:
     total = 0
     for part in parts:
-        m = 0
-        for v in part:
-            m |= 1 << v
+        m = mask_of(part)
         total += sum((g.adj[v] & m).bit_count() for v in part) // 2
     return total
 
@@ -293,16 +282,8 @@ def simonovits_partition(g: SimpleGraph, s: int) -> SimonovitsReport:
 
     alive_list = [v for v in range(n) if alive >> v & 1]
     pos = {v: i for i, v in enumerate(alive_list)}
-    sub_adj = []
-    for v in alive_list:
-        row = 0
-        w = g.adj[v] & alive
-        while w:
-            low = w & -w
-            row |= 1 << pos[low.bit_length() - 1]
-            w ^= low
-        sub_adj.append(row)
-    clique_idx = find_clique(tuple(sub_adj), s)
+    sub_adj = tuple(mask_of(pos[u] for u in indices_of(g.adj[v] & alive)) for v in alive_list)
+    clique_idx = find_clique(sub_adj, s)
 
     parts: list[list[int]] = [[] for _ in range(s)]
     leftovers: list[int] = []
@@ -312,9 +293,7 @@ def simonovits_partition(g: SimpleGraph, s: int) -> SimonovitsReport:
         leftovers = list(range(n))
     else:
         clique = tuple(sorted(alive_list[i] for i in clique_idx))
-        a_mask = 0
-        for a in clique:
-            a_mask |= 1 << a
+        a_mask = mask_of(clique)
         for i, a in enumerate(clique):
             parts[i].append(a)
         for v in alive_list:

@@ -260,6 +260,12 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     # no edge covers a vertex, so the freeness check has nothing to build
     code, out, err = run(capsys, "check", "free", "--file", str(hg), "--r", "3")
     assert (code, out, err) == (0, "free\n", "")
+    # nor does maximality: a new edge through an uncovered vertex is no
+    # copy for r >= 3, and at r = 2 every new edge is one
+    code, out, err = run(capsys, "check", "maximal", "--file", str(hg), "--r", "3")
+    assert (code, out, err) == (1, "not-maximal\n", "")
+    code, out, err = run(capsys, "check", "maximal", "--file", str(hg), "--r", "2")
+    assert (code, out, err) == (0, "maximal\n", "")
 
 
 def _readme_commands():

@@ -197,6 +197,20 @@ def test_find_expansion_ignores_uncovered_vertices():
     )
 
 
+def test_is_maximal_free_on_uncovered_vertices():
+    # answered without listing the k-subsets of a 10^12-vertex header
+    empty = hypergraph(10**12, 2, [])
+    assert fr.is_maximal_free(empty, 2)
+    assert not fr.is_maximal_free(empty, 3)
+    # vertex 6 is in no edge: the triangle copy's complement is not maximal
+    edges = [mask_of(a + b) for a, b in combinations([(0, 3), (1, 4), (2, 5)], 2)]
+    h = hypergraph(7, 2, edges)
+    assert not fr.is_maximal_free(h, 4)
+    assert brute_force_maximal(h, 4) is False
+    # below 2k vertices no new edge exists
+    assert fr.is_maximal_free(hypergraph(3, 2, []), 3)
+
+
 def test_auxiliary_graph_edge_identity():
     h, _ = build_parity(8, 2, Shift(4))
     g = fr.auxiliary_graph(h)

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from turanhg import krawtchouk as kw
-from turanhg.construct import parity_edge_count
 from turanhg.core import binom_exact
 
 
@@ -89,34 +88,22 @@ def test_shift_feasibility():
     assert kw.Shift(-2).part_sizes(8) == (3, 5)
 
 
-def test_shifted_form_matches_eval():
-    for n in range(2, 25):
-        for two_t in range(n % 2, n + 1, 2):
-            x = (n + two_t) // 2
-            for m in range(n + 1):
-                assert kw.kraw_shifted(m, n, kw.Shift(two_t)) == kw.kraw_eval(m, n, x)
-
-
-def test_shifted_form_rejects_negative_shift():
-    with pytest.raises(ValueError):
-        kw.kraw_shifted(2, 8, kw.Shift(-2))
-
-
-def test_levenshtein_window_contains_roots():
-    # outside [n/2 - sqrt(mn), n/2 + sqrt(mn)] the polynomial cannot vanish
+def test_integer_window_contains_roots():
+    # K_m^n(x) cannot vanish once (2x - n)^2 > 4mn: optimal_shift scans
+    # (2t)^2 <= 8kn, this window for m = 2k and x = n/2 + t
     for n in range(1, 40):
         for m in range(1, n + 1):
-            lo, hi = kw.levenshtein_window(m, n)
-            assert lo == pytest.approx(n - hi, abs=1e-9)
             for x in range(n + 1):
-                if x < lo or x > hi:
+                if (2 * x - n) ** 2 > 4 * m * n:
                     assert kw.kraw_eval(m, n, x) != 0
 
 
 def _scan_every_shift(n, k):
-    """{2t: parity edge count} over every feasible shift t >= 0."""
+    """{2t: (C(n, 2k) - K_2k^n(n/2 + t)) / 2} over every feasible t >= 0."""
+    total = binom_exact(n, 2 * k)
     return {
-        tt: parity_edge_count(n, k, kw.Shift(tt)) for tt in range(n % 2, n + 1, 2)
+        tt: (total - kw.kraw_eval(2 * k, n, (n + tt) // 2)) // 2
+        for tt in range(n % 2, n + 1, 2)
     }
 
 
@@ -146,8 +133,8 @@ def test_optimal_shift_frozen_values():
 
 
 def test_optimal_shift_value_is_max():
-    # the Krawtchouk value of the report dominates every feasible shift's
-    # binomial count and is attained at each reported maximizer
+    # the binomial count of the report dominates every feasible shift's
+    # Krawtchouk value and is attained at each reported maximizer
     for k in range(1, 6):
         for n in range(2 * k, 121):
             counts = _scan_every_shift(n, k)

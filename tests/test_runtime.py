@@ -1,6 +1,8 @@
-"""The runtime imports nothing outside the standard library and the package."""
+"""The runtime imports nothing outside the standard library and the package,
+and every package name the benchmark and the scripts read exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -26,3 +28,48 @@ def test_imports_are_standard_library_or_package():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def _package_reads(path: Path) -> list[tuple[str, str]]:
+    """(module, attribute) pairs that a script reads from turanhg.
+
+    Covers `from turanhg import <submodule>` followed by
+    `<submodule>.<attr>`, and `from turanhg.<submodule> import <attr>`.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    submodules: dict[str, str] = {}  # local name -> turanhg submodule
+    reads = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module):
+            continue
+        for alias in node.names:
+            if node.module == "turanhg":
+                reads.append(("turanhg", alias.name))
+                if (PACKAGE / f"{alias.name}.py").exists():
+                    submodules[alias.asname or alias.name] = f"turanhg.{alias.name}"
+            elif node.module.startswith("turanhg."):
+                reads.append((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in submodules
+        ):
+            reads.append((submodules[node.value.id], node.attr))
+    return reads
+
+
+def test_bench_and_scripts_read_existing_names():
+    # bench/ and scripts/ are not edited with the package, so a name they
+    # read that a refactor removes would only show when they run
+    root = PACKAGE.parents[1]
+    paths = sorted((root / "bench").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    assert paths
+    seen = set()
+    for path in paths:
+        for module, attr in _package_reads(path):
+            assert hasattr(importlib.import_module(module), attr), (
+                f"{path.relative_to(root)} reads {module}.{attr}, which does not exist"
+            )
+            seen.add(f"{module}.{attr}")
+    assert {"turanhg.krawtchouk.Shift", "turanhg.stability.classify_tuples"} <= seen
