@@ -29,13 +29,9 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
-
-
-def _record(tsv: bool, **fields) -> None:
+def _record(tsv: bool = False, **fields) -> None:
     """Print fields as `name value` lines, or as a TSV header and one row."""
-    values = [_bool_str(v) if isinstance(v, bool) else str(v) for v in fields.values()]
+    values = [str(v).lower() if isinstance(v, bool) else str(v) for v in fields.values()]
     if tsv:
         print("\t".join(fields))
         print("\t".join(values))
@@ -175,7 +171,7 @@ def _cmd_kraw(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.subcommand == "parity":
-        h, _ = construct.build_parity(args.n, args.k, krawtchouk.Shift(args.two_t))
+        h, _ = construct.build_parity(args.n, args.k, construct.Shift(args.two_t))
     else:
         h, _ = construct.build_sidorenko(
             args.n, args.k, args.p, allow_remainder=args.allow_remainder
@@ -185,7 +181,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    sh = krawtchouk.Shift(args.two_t)
+    sh = construct.Shift(args.two_t)
     if args.subcommand == "b":
         print(construct.parity_edge_count(args.n, args.k, sh))
     else:
@@ -219,21 +215,22 @@ def _cmd_color(args) -> int:
     coloring = algebra.read_coloring(_read_text(args.file))
     if args.subcommand == "verify":
         report = algebra.verify_coloring(coloring)
-        print(f"full_coloring {_bool_str(report.is_full_coloring)}")
-        print(f"perfect_matchings {_bool_str(report.every_color_perfect_matching)}")
-        print(f"four_set_condition {_bool_str(report.four_set_condition)}")
+        _record(
+            full_coloring=report.is_full_coloring,
+            perfect_matchings=report.every_color_perfect_matching,
+            four_set_condition=report.four_set_condition,
+        )
         if report.first_violation is not None:
-            print("first_violation " + " ".join(map(str, report.first_violation)))
+            _record(first_violation=" ".join(map(str, report.first_violation)))
         return 0 if report.passed else 1
     try:
         group = algebra.build_group(coloring)
     except algebra.GroupError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    print(f"order {group.order}")
-    print(f"dimension {group.dimension}")
+    _record(order=group.order, dimension=group.dimension)
     for row in group.table:
-        print("t " + " ".join(map(str, row)))
+        _record(t=" ".join(map(str, row)))
     return 0
 
 
@@ -248,12 +245,14 @@ def _cmd_stability(args) -> int:
     if args.subcommand == "simonovits":
         g = stability.read_graph(_read_text(args.graph))
         report = stability.simonovits_partition(g, args.s)
-        print(f"internal_edges {report.internal_edges}")
         failure = report.hypothesis_failure or "none"
-        print(f"hypothesis_failure {failure.replace(' ', '-')}")
+        _record(
+            internal_edges=report.internal_edges,
+            hypothesis_failure=failure.replace(" ", "-"),
+        )
         for part_idx, part in enumerate(report.parts, start=1):
             for v in part:
-                print(f"p {v} {part_idx}")
+                _record(p=f"{v} {part_idx}")
         return 0 if report.hypothesis_failure is None else 1
 
     h = core.read_hypergraph(_read_text(args.file))

@@ -17,11 +17,12 @@ paper's pigeonhole argument, found rather than assumed (parity of
 2^p-colors the XOR ones).  The classes are checked to be independent
 before they are trusted, so a coloring fault can only cost time, never
 give a wrong "free".  When no such coloring turns up, an exact branch
-and bound with a greedy coloring bound decides.  For r >= 2 both
-questions first drop the vertices that no edge covers.  Maximality
-needs no second graph: a new edge e creates a copy exactly when some
-split (P, Q) of e has an (r - 2)-clique inside N(P) & N(Q), and that
-common neighbourhood is always disjoint from e.
+and bound with a greedy coloring bound decides.  r = 1 needs no graph:
+a copy is a single k-subset, so one exists exactly when n >= k.  For
+r >= 2 both questions first drop the vertices that no edge covers.
+Maximality needs no second graph: a new edge e creates a copy exactly
+when some split (P, Q) of e has an (r - 2)-clique inside N(P) & N(Q),
+and that common neighbourhood is always disjoint from e.
 """
 
 from __future__ import annotations
@@ -232,12 +233,15 @@ def find_expansion(h: Hypergraph, r: int) -> tuple[int, ...] | None:
 
     Returns r pairwise disjoint k-subset masks whose pairwise unions are
     all edges of h: the subsets of an r-clique of the auxiliary graph.
-    For r >= 2 the search runs on the covered vertices (_on_covered)
-    and maps the witness back.
+    At r = 1 a copy is a single k-subset, so the answer is 0..k-1 when
+    n >= k.  For r >= 2 the search runs on the covered vertices
+    (_on_covered) and maps the witness back.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    inner, verts = (h, None) if r == 1 else _on_covered(h)
+    if r == 1:
+        return (mask_of(range(h.k)),) if h.n >= h.k else None
+    inner, verts = _on_covered(h)
     g = auxiliary_graph(inner)
     got = find_clique(g.adj, r)
     if got is None:
@@ -251,21 +255,26 @@ def find_expansion(h: Hypergraph, r: int) -> tuple[int, ...] | None:
 def is_maximal_free(h: Hypergraph, r: int) -> bool:
     """True iff h is expanded-clique free and adding any new edge is not.
 
-    Raises ValueError when h already contains a copy.  When some vertex
-    u lies in no edge, no scan is needed.  For r >= 3 each branch set
-    of a copy through a new edge e also lies in an old edge, so a new
-    edge through u (one exists when n >= 2k) creates no copy and h is
-    not maximal.  For r = 2 a free h has no edges, and every new edge
+    Raises ValueError when h already contains a copy.  At r = 1 any
+    k-subset is a copy, so h has one exactly when n >= k; otherwise no
+    2k-subset exists either and h is maximal by default.  When some
+    vertex u lies in no edge, no scan is needed.  For r >= 3 each branch
+    set of a copy through a new edge e also lies in an old edge, so a
+    new edge through u (one exists when n >= 2k) creates no copy and h
+    is not maximal.  For r = 2 a free h has no edges, and every new edge
     is a copy by itself.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    inner = h if r == 1 else _on_covered(h)[0]
+    has_copy = "hypergraph already contains an expanded clique"
+    if r == 1:
+        if h.n >= h.k:
+            raise ValueError(has_copy)
+        return True
+    inner = _on_covered(h)[0]
     g = auxiliary_graph(inner)
     if find_clique(g.adj, r) is not None:
-        raise ValueError("hypergraph already contains an expanded clique")
-    if r < 2:
-        return False  # any k-subset alone is a copy with r = 1
+        raise ValueError(has_copy)
     if inner is not h:
         return r == 2 or h.n < 2 * h.k
     index = {s: i for i, s in enumerate(g.subsets)}

@@ -266,6 +266,12 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     assert (code, out, err) == (1, "not-maximal\n", "")
     code, out, err = run(capsys, "check", "maximal", "--file", str(hg), "--r", "2")
     assert (code, out, err) == (0, "maximal\n", "")
+    # at r = 1 any k vertices form a copy, so none need be listed
+    code, out, err = run(capsys, "check", "free", "--file", str(hg), "--r", "1", "--witness")
+    assert (code, out, err) == (1, "copy\n0 1\n", "")
+    code, out, err = run(capsys, "check", "maximal", "--file", str(hg), "--r", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: hypergraph already contains an expanded clique\n"
 
 
 def _readme_commands():

@@ -279,6 +279,22 @@ def test_find_expansion_r1_and_r2():
     assert fr.find_expansion(empty, 2) is None
     # r=1 needs no edges, just k disjoint vertices
     assert fr.find_expansion(empty, 1) is not None
+    # at r=1 the edges do not matter: a copy exists exactly when n >= k
+    rng = random.Random(11)
+    for n in range(7):
+        for k in range(1, 4):
+            pool = list(enumerate_ksubsets(n, 2 * k))
+            h = hypergraph(n, k, rng.sample(pool, rng.randrange(len(pool) + 1)))
+            want = brute_force_expansion(h, 1)
+            got = fr.find_expansion(h, 1)
+            assert (got is None) == (want is None), (n, k)
+            if got is None:
+                assert brute_force_maximal(h, 1) and fr.is_maximal_free(h, 1)
+                continue
+            assert got == (mask_of(range(k)),)
+            validate_copy(h, 1, got)
+            with pytest.raises(ValueError):
+                fr.is_maximal_free(h, 1)
 
 
 def test_parity_constructions_are_free():

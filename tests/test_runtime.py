@@ -1,8 +1,11 @@
 """The runtime imports nothing outside the standard library and the package,
-and every package name the benchmark and the scripts read exists."""
+the package imports none of its submodules, and every package name the
+benchmark and the scripts read exists."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,8 +71,28 @@ def test_bench_and_scripts_read_existing_names():
     seen = set()
     for path in paths:
         for module, attr in _package_reads(path):
+            if module == "turanhg" and (PACKAGE / f"{attr}.py").exists():
+                # as `from turanhg import <submodule>` does, load it first:
+                # the package itself imports none of its submodules
+                importlib.import_module(f"turanhg.{attr}")
             assert hasattr(importlib.import_module(module), attr), (
                 f"{path.relative_to(root)} reads {module}.{attr}, which does not exist"
             )
             seen.add(f"{module}.{attr}")
     assert {"turanhg.krawtchouk.Shift", "turanhg.stability.classify_tuples"} <= seen
+
+
+def test_package_import_loads_no_submodule():
+    # every name lives in one module and is imported from there
+    code = (
+        "import sys, turanhg; "
+        "print(sorted(m for m in sys.modules if m.startswith('turanhg.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
