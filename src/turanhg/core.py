@@ -166,15 +166,26 @@ def set_family(m: int, k: int, members: Iterable[int]) -> SetFamily:
     return SetFamily(m, k, tuple(sorted(set(members))))
 
 
+def incidence_rows(h: Hypergraph) -> list[int]:
+    """Per-vertex bitsets over edge indices: bit i of row v is set iff v is in edges[i].
+
+    The transpose runs in C: the edges are packed little-endian into one
+    int, formatted once in binary, and row v is the strided slice of the
+    digits for bit v of each edge, read back with int(..., 2).
+    """
+    if not h.edges:
+        return [0] * h.n
+    width = (h.n + 7) // 8
+    bits = 8 * width
+    packed = int.from_bytes(b"".join([e.to_bytes(width, "little") for e in h.edges]), "little")
+    digits = format(packed, f"0{bits * len(h.edges)}b")
+    # the last edge comes first in the digits, so edge i lands on bit i
+    return [int(digits[bits - 1 - v :: bits], 2) for v in range(h.n)]
+
+
 def vertex_degrees(h: Hypergraph) -> list[int]:
     """Degree of every vertex, i.e. the number of edges containing it."""
-    degs = [0] * h.n
-    for e in h.edges:
-        while e:
-            low = e & -e
-            degs[low.bit_length() - 1] += 1
-            e ^= low
-    return degs
+    return [row.bit_count() for row in incidence_rows(h)]
 
 
 # --- turan-hg v1 ---------------------------------------------------------

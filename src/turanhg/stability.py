@@ -8,7 +8,12 @@ counts, since the good tuples number the parity edge count for the
 part sizes, and improve_partition runs the obvious local search: while
 some vertex is incident to strictly more bad than good edges, move the
 first such vertex to the other side (each move strictly lowers the
-bad-edge count, so the search terminates).
+bad-edge count, so the search terminates).  The search keeps one
+bitset per vertex over the edge indices, its incidence row, and the set
+odd of good edges, the XOR of the part-1 rows; a vertex's good count is
+one AND and popcount with odd, and a move is one XOR into it.  The
+counts are those of a walk over the vertex's edges, so the scan takes
+the same moves in the same order.
 
 simonovits_partition approximately partitions a K_{s+1}-free graph G on
 N vertices into s classes with few internal edges.  Write
@@ -44,6 +49,7 @@ from .core import (
     _read_rows,
     _write_rows,
     binom_exact,
+    incidence_rows,
     indices_of,
     mask_of,
 )
@@ -168,39 +174,38 @@ def improve_partition(
     scan restarts.  The returned partition has no such vertex.  When a
     list is passed as trace, the bad-edge count is appended before the
     first move and after every move.
+
+    The edges at vertex v are its incidence row (core.incidence_rows),
+    and the good edges are the set bits of odd, the XOR of the rows of
+    the part-1 vertices.  So v has (row & odd).bit_count() good edges
+    and deg - good bad ones, and moving v is odd ^= row.  These are the
+    counts an edge-by-edge walk gives, so the moves and the trace are
+    the same.
     """
     if start.n != h.n:
         raise ValueError(f"partition is over {start.n} vertices, hypergraph over {h.n}")
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for e in h.edges:
-        rest = e
-        while rest:
-            low = rest & -rest
-            incident[low.bit_length() - 1].append(e)
-            rest ^= low
+    rows = incidence_rows(h)
+    deg = [row.bit_count() for row in rows]
     mask1 = start.mask(1)
-    total_bad = bad_edge_count(h, start)
+    odd = 0
+    for v in indices_of(mask1):
+        odd ^= rows[v]
+    total_bad = h.edge_count - odd.bit_count()
     if trace is not None:
         trace.append(total_bad)
-    moved = True
-    while moved:
-        moved = False
+    while True:
         for v in range(h.n):
-            good = bad = 0
-            for e in incident[v]:
-                if (e & mask1).bit_count() & 1:
-                    good += 1
-                else:
-                    bad += 1
+            good = (rows[v] & odd).bit_count()
+            bad = deg[v] - good
             if bad > good:
-                mask1 ^= 1 << v
-                new_bad = total_bad - bad + good
-                assert new_bad < total_bad
-                total_bad = new_bad
-                if trace is not None:
-                    trace.append(total_bad)
-                moved = True
                 break
+        else:
+            break
+        odd ^= rows[v]
+        mask1 ^= 1 << v
+        total_bad += good - bad
+        if trace is not None:
+            trace.append(total_bad)
     return Bipartition(
         h.n, tuple(1 if mask1 >> v & 1 else 2 for v in range(h.n))
     )

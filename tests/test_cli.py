@@ -1,3 +1,4 @@
+import random
 import shlex
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import pytest
 
 from turanhg import algebra, construct, core, krawtchouk, search, shadow, stability
 from turanhg.cli import build_parser, run_cli
+
+from test_stability import _reference_improve_partition, perturbed_parity
 
 
 def run(capsys, *argv):
@@ -165,6 +168,21 @@ def test_stability_census_and_improve(tmp_path, capsys):
     )
     assert code == 0
     assert stability.read_bipartition(out, 10) == part  # already stable
+
+
+def test_stability_improve_matches_reference_scan(tmp_path, capsys):
+    rng = random.Random(20)
+    h = perturbed_parity(rng, 20, 2)
+    start = stability.Bipartition(20, tuple(rng.choice((1, 2)) for _ in range(20)))
+    want = stability.write_bipartition(_reference_improve_partition(h, start))
+    assert want != stability.write_bipartition(start)
+    hf, pf, out = tmp_path / "h.hg", tmp_path / "p.txt", tmp_path / "out.txt"
+    hf.write_text(core.write_hypergraph(h))
+    pf.write_text(stability.write_bipartition(start))
+    files = ["--file", str(hf), "--partition", str(pf)]
+    assert run(capsys, "stability", "improve", *files) == (0, want, "")
+    assert run(capsys, "stability", "improve", *files, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == want.encode()
 
 
 def test_stability_simonovits(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -96,6 +97,29 @@ def test_vertex_degrees_handshake():
 def test_vertex_degrees_empty():
     h = core.hypergraph(4, 2, [])
     assert list(core.vertex_degrees(h)) == [0, 0, 0, 0]
+
+
+def _brute_incidence_rows(h):
+    return [core.mask_of(i for i, e in enumerate(h.edges) if e >> v & 1) for v in range(h.n)]
+
+
+def test_incidence_rows_edge_cases():
+    assert core.incidence_rows(core.hypergraph(0, 1, [])) == []
+    assert core.incidence_rows(core.hypergraph(5, 2, [])) == [0] * 5
+    h = core.hypergraph(2, 1, [0b11])
+    assert core.incidence_rows(h) == [1, 1]
+
+
+@pytest.mark.parametrize("n", [2, 5, 7, 8, 9, 13, 16, 17, 23, 40])
+@pytest.mark.parametrize("k", [1, 2])
+def test_incidence_rows_brute_force(n, k):
+    rng = random.Random(n * 10 + k)
+    tuples = list(combinations(range(n), 2 * k))
+    for density in (0.05, 0.5, 1.0):
+        picked = [t for t in tuples if rng.random() < density][:2000]
+        h = core.hypergraph(n, k, [core.mask_of(t) for t in picked])
+        assert core.incidence_rows(h) == _brute_incidence_rows(h)
+        assert core.vertex_degrees(h) == [sum(1 for e in h.edges if e >> v & 1) for v in range(n)]
 
 
 hg_strategy = st.integers(2, 4).flatmap(

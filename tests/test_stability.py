@@ -7,8 +7,8 @@ import pytest
 from turanhg import stability as stb
 from turanhg.cli import run_cli
 from turanhg.construct import build_parity
-from turanhg.core import binom_exact, enumerate_ksubsets, hypergraph, write_hypergraph
-from turanhg.krawtchouk import Shift
+from turanhg.core import binom_exact, enumerate_ksubsets, hypergraph, mask_of, write_hypergraph
+from turanhg.krawtchouk import Shift, optimal_shift
 
 
 def test_simple_graph_validation():
@@ -121,6 +121,18 @@ def test_classify_tuples_empty_hypergraph():
     assert census.good_non_edges + census.bad_non_edges == binom_exact(6, 4)
 
 
+class _CheckedTrace(list):
+    """A trace that fails at once on a negative bad-edge count.
+
+    Every move lowers the count, so a search whose counts drift from the
+    edges would otherwise move forever instead of failing.
+    """
+
+    def append(self, bad):
+        assert bad >= 0, f"bad-edge count {bad} after {len(self)} entries"
+        super().append(bad)
+
+
 def vertex_stable(h, part):
     mask1 = part.mask(1)
     for v in range(h.n):
@@ -139,7 +151,7 @@ def vertex_stable(h, part):
 
 def test_improve_partition_fixed_point():
     h, part = build_parity(8, 2, Shift(2))
-    trace = []
+    trace = _CheckedTrace()
     out = stb.improve_partition(h, part, trace=trace)
     assert out == part
     assert trace == [0]
@@ -150,7 +162,7 @@ def test_improve_partition_single_swap_start():
     moved = list(part.part_of)
     moved[3] = 3 - moved[3]
     start = stb.Bipartition(8, tuple(moved))
-    trace = []
+    trace = _CheckedTrace()
     out = stb.improve_partition(h, start, trace=trace)
     assert vertex_stable(h, out)
     assert trace[-1] <= trace[0]
@@ -162,12 +174,12 @@ def test_improve_partition_random_starts():
     rng = random.Random(9)
     for _ in range(30):
         start = stb.Bipartition(10, tuple(rng.choice((1, 2)) for _ in range(10)))
-        trace = []
+        trace = _CheckedTrace()
         out = stb.improve_partition(h, start, trace=trace)
         assert vertex_stable(h, out)
         assert all(b < a for a, b in zip(trace, trace[1:]))
         # a second pass finds nothing to move
-        trace2 = []
+        trace2 = _CheckedTrace()
         again = stb.improve_partition(h, out, trace=trace2)
         assert again == out and len(trace2) == 1
 
@@ -176,6 +188,87 @@ def test_improve_partition_empty_hypergraph():
     h = hypergraph(5, 2, [])
     start = stb.Bipartition(5, (1, 2, 1, 2, 1))
     assert stb.improve_partition(h, start) == start
+
+
+def _reference_improve_partition(h, start, *, trace=None):
+    """The local search as an edge-by-edge walk over each vertex's edges."""
+    incident = [[] for _ in range(h.n)]
+    for e in h.edges:
+        rest = e
+        while rest:
+            low = rest & -rest
+            incident[low.bit_length() - 1].append(e)
+            rest ^= low
+    mask1 = start.mask(1)
+    total_bad = stb.bad_edge_count(h, start)
+    if trace is not None:
+        trace.append(total_bad)
+    moved = True
+    while moved:
+        moved = False
+        for v in range(h.n):
+            good = bad = 0
+            for e in incident[v]:
+                if (e & mask1).bit_count() & 1:
+                    good += 1
+                else:
+                    bad += 1
+            if bad > good:
+                mask1 ^= 1 << v
+                total_bad = total_bad - bad + good
+                if trace is not None:
+                    trace.append(total_bad)
+                moved = True
+                break
+    return stb.Bipartition(h.n, tuple(1 if mask1 >> v & 1 else 2 for v in range(h.n)))
+
+
+def perturbed_parity(rng, n, k, flip_share=0.05):
+    """Parity edges on a random optimal bipartition with a share of all tuples flipped.
+
+    This is how the repair benchmark builds its inputs.
+    """
+    n1 = optimal_shift(n, k).maximizers[0].part_sizes(n)[0]
+    part1 = mask_of(rng.sample(range(n), n1))
+    tuples = list(enumerate_ksubsets(n, 2 * k))
+    edges = {m for m in tuples if (m & part1).bit_count() & 1}
+    edges.symmetric_difference_update(rng.sample(tuples, round(flip_share * len(tuples))))
+    return hypergraph(n, k, edges)
+
+
+def _starts(rng, n, randoms):
+    yield stb.Bipartition(n, (1,) * n)
+    yield stb.Bipartition(n, (2,) * n)
+    for _ in range(randoms):
+        yield stb.Bipartition(n, tuple(rng.choice((1, 2)) for _ in range(n)))
+
+
+def _assert_matches_reference(h, start):
+    got_trace, want_trace = _CheckedTrace(), []
+    got = stb.improve_partition(h, start, trace=got_trace)
+    want = _reference_improve_partition(h, start, trace=want_trace)
+    assert (got_trace, got) == (want_trace, want)
+    assert all(b < a for a, b in zip(got_trace, got_trace[1:]))
+    assert got == stb.improve_partition(h, start)  # the trace list changes nothing
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_improve_partition_matches_reference_on_random_inputs(k):
+    rng = random.Random(1000 + k)
+    for n in range(0, 15):
+        tuples = list(enumerate_ksubsets(n, 2 * k))
+        for density in (0, 0.1, 0.3, 0.6):
+            h = hypergraph(n, k, [m for m in tuples if rng.random() < density])
+            for start in _starts(rng, n, 2):
+                _assert_matches_reference(h, start)
+
+
+@pytest.mark.parametrize("n", [8, 11, 16, 20, 24])
+def test_improve_partition_matches_reference_on_perturbed_parity(n):
+    rng = random.Random(n)
+    h = perturbed_parity(rng, n, 2)
+    for start in _starts(rng, n, 4):
+        _assert_matches_reference(h, start)
 
 
 def test_simonovits_turan_graphs():
