@@ -25,6 +25,7 @@ reader and writer below are shared by all of them.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -166,21 +167,49 @@ def set_family(m: int, k: int, members: Iterable[int]) -> SetFamily:
     return SetFamily(m, k, tuple(sorted(set(members))))
 
 
+_WORD = (1 << 64) - 1
+
+# Hacker's Delight transpose8: (shift, mask) rounds that swap bit 8i+j
+# with bit 8j+i of a 64-bit word; each mask keeps a bit's partner in its word.
+_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
 def incidence_rows(h: Hypergraph) -> list[int]:
     """Per-vertex bitsets over edge indices: bit i of row v is set iff v is in edges[i].
 
-    The transpose runs in C: the edges are packed little-endian into one
-    int, formatted once in binary, and row v is the strided slice of the
-    digits for bit v of each edge, read back with int(..., 2).
+    The transpose is a few big-int operations per 64 vertices.  The edges
+    (or, above n = 64, one 64-bit limb of each) are packed as
+    little-endian words, padded with zero words to whole blocks of 8
+    edges.  Byte column j of that array holds vertices 8j..8j+7 of every
+    edge, and each 8 bytes of it are an 8x8 bit block: edges by vertices.
+    The columns are joined into one int, and the three Hacker's Delight
+    rounds transpose every block at once, so byte t of block b then
+    holds edges 8b..8b+7 for vertex 8j+t.  Row 8j+t is the strided slice
+    of those bytes, read little-endian.
     """
-    if not h.edges:
+    m = len(h.edges)
+    if not m:
         return [0] * h.n
-    width = (h.n + 7) // 8
-    bits = 8 * width
-    packed = int.from_bytes(b"".join([e.to_bytes(width, "little") for e in h.edges]), "little")
-    digits = format(packed, f"0{bits * len(h.edges)}b")
-    # the last edge comes first in the digits, so edge i lands on bit i
-    return [int(digits[bits - 1 - v :: bits], 2) for v in range(h.n)]
+    col = 8 * -(-m // 8)  # words, and so bytes in a byte column, padded to whole blocks
+    pad = bytes(8 * (col - m))
+    rows: list[int] = []
+    for low in range(0, h.n, 64):
+        words = h.edges if h.n <= 64 else [e >> low & _WORD for e in h.edges]
+        raw = struct.pack(f"<{m}Q", *words) + pad
+        width = -(-min(64, h.n - low) // 8)
+        x = int.from_bytes(b"".join([raw[j::8] for j in range(width)]), "little")
+        # a 1 at the bottom of every 64-bit word: times a word mask, it repeats the mask
+        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (col * width // 8), "little")
+        for shift, word_mask in _TRANSPOSE8:
+            t = (x ^ x >> shift) & ones * word_mask
+            x ^= t ^ t << shift
+        x_bytes = x.to_bytes(col * width, "little")
+        rows.extend(
+            int.from_bytes(x_bytes[j * col + b : (j + 1) * col : 8], "little")
+            for j in range(width)
+            for b in range(8)
+        )
+    return rows[: h.n]
 
 
 def vertex_degrees(h: Hypergraph) -> list[int]:

@@ -3,15 +3,18 @@
 For a 2k-uniform hypergraph with a candidate bipartition, a 2k-subset
 is "good" when it meets both parts in an odd number of vertices and
 "bad" otherwise; a perfect parity construction has every edge good and
-every good tuple present.  classify_tuples takes the full census from
-counts, since the good tuples number the parity edge count for the
-part sizes, and improve_partition runs the obvious local search: while
-some vertex is incident to strictly more bad than good edges, move the
-first such vertex to the other side (each move strictly lowers the
-bad-edge count, so the search terminates).  The search keeps one
-bitset per vertex over the edge indices, its incidence row, and the set
-odd of good edges, the XOR of the part-1 rows; a vertex's good count is
-one AND and popcount with odd, and a move is one XOR into it.  The
+every good tuple present.  classify_tuples and improve_partition work
+on one bitset per vertex over the edge indices, its incidence row
+(core.incidence_rows).  The XOR of the part-1 rows, odd, has a bit set
+exactly at the good edges, so the bad edges number edge_count minus its
+popcount; _odd_and_bad is that one formula, and both call it.
+classify_tuples takes the full census from counts: the good tuples
+number the parity edge count for the part sizes, and the bad edges come
+from odd.  improve_partition runs the obvious local search: while some
+vertex is incident to strictly more bad than good edges, move the first
+such vertex to the other side (each move strictly lowers the bad-edge
+count, so the search terminates).  A vertex's good count is one AND and
+popcount of its row with odd, and a move is one XOR into odd.  The
 counts are those of a walk over the vertex's edges, so the scan takes
 the same moves in the same order.
 
@@ -143,16 +146,14 @@ def classify_tuples(
 ) -> TupleCensus:
     """Full census over all C(n, 2k) tuples, taken from counts.
 
-    The bad edges are counted in one pass over the edges; the good
-    tuples number parity_edge_count for the part sizes, and the other
-    two cells follow by subtraction.  force has no effect; it is
+    The bad edges are bad_edge_count, read from the incidence rows; the
+    good tuples number parity_edge_count for the part sizes, and the
+    other two cells follow by subtraction.  force has no effect; it is
     accepted so that existing callers keep working.
     """
-    if part.n != h.n:
-        raise ValueError(f"partition is over {part.n} vertices, hypergraph over {h.n}")
+    bad_edges = bad_edge_count(h, part)
     n1, n2 = part.sizes()
     good = parity_edge_count(h.n, h.k, Shift(n1 - n2))
-    bad_edges = bad_edge_count(h, part)
     good_edges = h.edge_count - bad_edges
     bad = binom_exact(h.n, 2 * h.k) - good
     return TupleCensus(good_edges, bad_edges, good - good_edges, bad - bad_edges)
@@ -160,8 +161,18 @@ def classify_tuples(
 
 def bad_edge_count(h: Hypergraph, part: Bipartition) -> int:
     """Edges meeting part 1 in an even number of vertices."""
-    mask1 = part.mask(1)
-    return sum(1 for e in h.edges if not (e & mask1).bit_count() & 1)
+    if part.n != h.n:
+        raise ValueError(f"partition is over {part.n} vertices, hypergraph over {h.n}")
+    return _odd_and_bad(h, incidence_rows(h), part.mask(1))[1]
+
+
+def _odd_and_bad(h: Hypergraph, rows: list[int], mask1: int) -> tuple[int, int]:
+    """(odd, bad): the bitset of good edges, the XOR of the part-1 rows,
+    and the number of bad edges, the edges whose bit in odd is clear."""
+    odd = 0
+    for v in indices_of(mask1):
+        odd ^= rows[v]
+    return odd, h.edge_count - odd.bit_count()
 
 
 def improve_partition(
@@ -187,10 +198,7 @@ def improve_partition(
     rows = incidence_rows(h)
     deg = [row.bit_count() for row in rows]
     mask1 = start.mask(1)
-    odd = 0
-    for v in indices_of(mask1):
-        odd ^= rows[v]
-    total_bad = h.edge_count - odd.bit_count()
+    odd, total_bad = _odd_and_bad(h, rows, mask1)
     if trace is not None:
         trace.append(total_bad)
     while True:

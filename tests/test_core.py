@@ -122,6 +122,31 @@ def test_incidence_rows_brute_force(n, k):
         assert core.vertex_degrees(h) == [sum(1 for e in h.edges if e >> v & 1) for v in range(n)]
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 70, 130])
+def test_incidence_rows_multi_limb_brute_force(n):
+    # n > 64 packs each edge as several 64-bit limbs; 63, 64, 65 straddle the first cut
+    rng = random.Random(n)
+    for k in (1, 2, 3):
+        edges = {core.mask_of(rng.sample(range(n), 2 * k)) for _ in range(300)}
+        edges |= {core.mask_of(range(n - 2 * k, n)), core.mask_of(range(2 * k))}
+        h = core.hypergraph(n, k, edges)
+        assert core.incidence_rows(h) == _brute_incidence_rows(h)
+        assert core.vertex_degrees(h) == [sum(1 for e in h.edges if e >> v & 1) for v in range(n)]
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("n", [8, 9, 64, 70])
+def test_incidence_rows_partial_blocks_brute_force(n, m):
+    # edge counts below, at and past a whole block of 8 edges
+    rng = random.Random(100 * n + m)
+    edges: set[int] = set()
+    while len(edges) < m:
+        edges.add(core.mask_of(rng.sample(range(n), 4)))
+    h = core.hypergraph(n, 2, edges)
+    assert core.incidence_rows(h) == _brute_incidence_rows(h)
+    assert core.vertex_degrees(h) == [sum(1 for e in h.edges if e >> v & 1) for v in range(n)]
+
+
 hg_strategy = st.integers(2, 4).flatmap(
     lambda k: st.integers(2 * k, 2 * k + 6).flatmap(
         lambda n: st.builds(

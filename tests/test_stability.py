@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -84,6 +85,38 @@ def test_classify_tuples_matches_brute_force():
                 assert total == binom_exact(n, 2 * k)
                 assert got.good_edges + got.bad_edges == h.edge_count
                 assert stb.bad_edge_count(h, part) == got.bad_edges
+
+
+def _walk_bad_edges(h, mask1):
+    """Bad edges counted by a walk over the edges, independent of the incidence rows."""
+    return sum(1 for e in h.edges if not (e & mask1).bit_count() & 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 16, 33, 63, 64, 65, 70])
+def test_bad_edge_count_matches_edge_walk(n):
+    rng = random.Random(700 + n)
+    for k in (1, 2, 3):
+        graphs = [hypergraph(n, k, [])]
+        for size in (1, 9, 150) if 2 * k <= n else ():
+            edges = [mask_of(rng.sample(range(n), 2 * k)) for _ in range(size)]
+            graphs.append(hypergraph(n, k, edges))
+        for h in graphs:
+            for part in _starts(rng, n, 3):
+                bad = stb.bad_edge_count(h, part)
+                assert bad == _walk_bad_edges(h, part.mask(1))
+                census = stb.classify_tuples(h, part)
+                assert census.bad_edges == bad
+                assert census.good_edges + census.bad_edges == h.edge_count
+                assert sum(astuple(census)) == binom_exact(n, 2 * k)
+
+
+def test_census_rejects_a_partition_of_another_size():
+    h = hypergraph(4, 1, [0b11, 0b1100])
+    for n in (3, 6):
+        part = stb.Bipartition(n, (1,) * (n - 1) + (2,))
+        for count in (stb.bad_edge_count, stb.classify_tuples):
+            with pytest.raises(ValueError, match="partition is over"):
+                count(h, part)
 
 
 def test_classify_tuples_on_construction():
@@ -200,7 +233,7 @@ def _reference_improve_partition(h, start, *, trace=None):
             incident[low.bit_length() - 1].append(e)
             rest ^= low
     mask1 = start.mask(1)
-    total_bad = stb.bad_edge_count(h, start)
+    total_bad = _walk_bad_edges(h, mask1)
     if trace is not None:
         trace.append(total_bad)
     moved = True
