@@ -3,7 +3,7 @@
 For each label dimension p the edge density of the XOR construction
 approaches (r-2)/(r-1) with r = 2^p + 1.  This prints the exact density
 and its gap to the limit for n = start, 2*start, 4*start, ...; counts
-come from the block dynamic program, so large n stays cheap.
+are sums of 2^p - 1 parity counts, so large n stays cheap.
 
     python3 scripts/sidorenko_density.py --p-max 3 --doublings 6
 """

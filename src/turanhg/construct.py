@@ -1,30 +1,35 @@
-"""Extremal 2k-uniform constructions: parity bipartition and GF(2) labels.
+"""Extremal 2k-uniform constructions: GF(2) labels and the parity bipartition.
 
-The parity construction splits 0..n-1 into parts of sizes n/2 + t and
-n/2 - t and takes as edges all 2k-subsets meeting both parts in an odd
-number of vertices (one odd count forces the other since edges have
-even size).  Edge and degree counts have closed forms in terms of
+The GF(2) construction labels vertices with vectors of GF(2)^p in
+2^p equal blocks and keeps the 2k-subsets whose label XOR is nonzero.
+Its edge density tends to (r - 2)/(r - 1) with r = 2^p + 1.  The parity
+construction is its p = 1 case: parts of sizes n/2 + t and n/2 - t
+labelled 0 and 1, so the edges are the 2k-subsets meeting both parts
+in an odd number of vertices.  Its counts have closed forms in terms of
 Krawtchouk polynomials:
 
     edges(n, t)        = (C(n, 2k)     - K_{2k}^n(n/2 + t)) / 2
     degree(n, t, side) = (C(n-1, 2k-1) + K_{2k-1}^{n-1}(size - 1)) / 2
 
-where `size` is the size of the addressed part.  The library computes
-both counts by their direct combinatorial sums; the tests check them
-against these closed forms (and, for k = 2, against polynomial
-identities in n and t).
+where `size` is the size of the addressed part.  The library's one
+count is the binomial sum for edges(n, t); the tests check it against
+these closed forms (and, for k = 2, against polynomial identities in n
+and t).  The other counts follow from two identities:
 
-The GF(2) construction labels vertices with vectors of GF(2)^p in
-2^p equal blocks and keeps the 2k-subsets whose label XOR is nonzero.
-Its edge density tends to (r - 2)/(r - 1) with r = 2^p + 1.
+* degree(n, t, side) = edges(n, t) - edges(n - 1, t'), where t' has one
+  vertex fewer on that side, since deleting a vertex deletes its edges.
+* The XOR count is the sum over nonzero a in GF(2)^p of the parity
+  count for the bipartition by the parity of <a, label>, divided by
+  2^(p-1): a set with label XOR x meets the odd side oddly iff
+  <a, x> = 1, which holds for 2^(p-1) of the a when x != 0 and for none
+  when x = 0, whatever the block sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import Hypergraph, binom_exact, enumerate_ksubsets, mask_of
+from .core import Hypergraph, _balanced_sizes, binom_exact, enumerate_ksubsets, mask_of
 
 
 @dataclass(frozen=True, order=True)
@@ -80,20 +85,46 @@ class GF2Labeling:
             raise ValueError("labels must lie in 0 .. 2^p - 1")
 
 
-def build_parity(n: int, k: int, shift: Shift) -> tuple[Hypergraph, Bipartition]:
-    """The parity construction; part 1 is the prefix 0 .. n/2+t-1."""
+def _labelled(k: int, sizes: list[int]) -> Hypergraph:
+    """The 2k-subsets with nonzero label XOR; block w of `sizes` is
+    contiguous and labelled w.  The count taken from each block fixes
+    the XOR, so the edges are products of per-block subset lists."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    n1, n2 = shift.part_sizes(n)
+    starts = [sum(sizes[:w]) for w in range(len(sizes))]
+    subsets: dict[tuple[int, int], list[int]] = {}
     edges: list[int] = []
-    for i in range(1, 2 * k, 2):
-        j = 2 * k - i
-        if i > n1 or j > n2:
+
+    def count_vectors(left: int, first: int):
+        # (block, count) pairs, blocks increasing, positive counts summing to left
+        if not left:
+            yield ()
+            return
+        for w in range(first, len(sizes)):
+            for c in range(1, min(left, sizes[w]) + 1):
+                for rest in count_vectors(left - c, w + 1):
+                    yield ((w, c),) + rest
+
+    for vec in count_vectors(2 * k, 0):
+        x = 0
+        for w, c in vec:
+            if c & 1:
+                x ^= w
+        if not x:
             continue
-        right = [m << n1 for m in enumerate_ksubsets(n2, j)]
-        edges.extend(a | b for a in enumerate_ksubsets(n1, i) for b in right)
-    h = Hypergraph(n, k, tuple(sorted(edges)))
-    return h, Bipartition(n, (1,) * n1 + (2,) * n2)
+        acc = [0]
+        for w, c in vec:
+            if (w, c) not in subsets:
+                subsets[w, c] = [m << starts[w] for m in enumerate_ksubsets(sizes[w], c)]
+            acc = [a | b for a in acc for b in subsets[w, c]]
+        edges.extend(acc)
+    return Hypergraph(sum(sizes), k, tuple(sorted(edges)))
+
+
+def build_parity(n: int, k: int, shift: Shift) -> tuple[Hypergraph, Bipartition]:
+    """The parity construction; part 1 is the prefix 0 .. n/2+t-1."""
+    n1, n2 = shift.part_sizes(n)
+    return _labelled(k, [n1, n2]), Bipartition(n, (1,) * n1 + (2,) * n2)
 
 
 def parity_edge_count(n: int, k: int, shift: Shift) -> int:
@@ -118,21 +149,23 @@ def parity_degree(n: int, k: int, shift: Shift, side: str) -> int:
     own, other = (n1, n2) if side == "large" else (n2, n1)
     if own == 0:
         raise ValueError(f"the {side} part is empty for n={n}, 2t={shift.two_t}")
-    return sum(
-        binom_exact(own - 1, i - 1) * binom_exact(other, 2 * k - i)
-        for i in range(1, 2 * k, 2)
+    return parity_edge_count(n, k, shift) - parity_edge_count(
+        n - 1, k, Shift(own - 1 - other)
     )
 
 
 def _block_sizes(n: int, p: int, allow_remainder: bool) -> list[int]:
+    if p < 1 or n >> p == 0:
+        raise ValueError(
+            f"need p >= 1 and n >= 2^p so that every label has a vertex, got n={n} p={p}"
+        )
     blocks = 1 << p
-    base, rem = divmod(n, blocks)
-    if rem and not allow_remainder:
+    if n % blocks and not allow_remainder:
         raise ValueError(
             f"n={n} is not divisible by 2^p={blocks}; "
             "pass allow_remainder=True to distribute the remainder round-robin"
         )
-    return [base + (1 if w < rem else 0) for w in range(blocks)]
+    return _balanced_sizes(n, blocks)
 
 
 def build_sidorenko(
@@ -145,63 +178,19 @@ def build_sidorenko(
     first n mod 2^p blocks one extra vertex (a convention, not part of
     the equal-blocks setting).
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     sizes = _block_sizes(n, p, allow_remainder)
-    labels: list[int] = []
-    for w, s in enumerate(sizes):
-        labels.extend([w] * s)
-    lab = GF2Labeling(p, tuple(labels))
-    edges = []
-    for combo in combinations(range(n), 2 * k):
-        acc = 0
-        m = 0
-        for v in combo:
-            acc ^= labels[v]
-            m |= 1 << v
-        if acc:
-            edges.append(m)
-    h = Hypergraph(n, k, tuple(sorted(edges)))
-    return h, lab
-
-
-def label_xor(mask: int, labeling: GF2Labeling) -> int:
-    """XOR of the labels of the vertices in the mask."""
-    acc = 0
-    v = 0
-    while mask:
-        if mask & 1:
-            acc ^= labeling.labels[v]
-        mask >>= 1
-        v += 1
-    return acc
+    labels = tuple(w for w, s in enumerate(sizes) for _ in range(s))
+    return _labelled(k, sizes), GF2Labeling(p, labels)
 
 
 def sidorenko_edge_count(
     n: int, k: int, p: int, *, allow_remainder: bool = False
 ) -> int:
-    """Edge count of build_sidorenko without materializing it.
-
-    Counts 2k-subsets with label XOR zero by dynamic programming over
-    the label blocks, then subtracts from C(n, 2k).
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    """Edge count of build_sidorenko without materializing it, as a sum
+    of parity counts (see the module docstring)."""
     sizes = _block_sizes(n, p, allow_remainder)
-    vals = 1 << p
-    # ways[c][x]: chosen c vertices so far with label XOR x
-    ways = [[0] * vals for _ in range(2 * k + 1)]
-    ways[0][0] = 1
-    for w, s in enumerate(sizes):
-        nxt = [[0] * vals for _ in range(2 * k + 1)]
-        for c in range(2 * k + 1):
-            row = ways[c]
-            for x in range(vals):
-                cnt = row[x]
-                if not cnt:
-                    continue
-                for j in range(0, min(s, 2 * k - c) + 1):
-                    y = x ^ w if j & 1 else x
-                    nxt[c + j][y] += cnt * binom_exact(s, j)
-        ways = nxt
-    return binom_exact(n, 2 * k) - ways[2 * k][0]
+    total = 0
+    for a in range(1, 1 << p):
+        odd = sum(s for w, s in enumerate(sizes) if (a & w).bit_count() & 1)
+        total += parity_edge_count(n, k, Shift(2 * odd - n))
+    return total >> (p - 1)

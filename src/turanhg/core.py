@@ -87,6 +87,11 @@ def enumerate_ksubsets(n: int, k: int) -> Iterator[int]:
         yield m
 
 
+def _balanced_sizes(n: int, s: int) -> list[int]:
+    """Sizes of s parts of 0..n-1 that differ by at most one, larger first."""
+    return [n // s + (1 if i < n % s else 0) for i in range(s)]
+
+
 def perfect_matchings(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
     """All perfect matchings of an even-size tuple, as tuples of pairs."""
     if not elems:

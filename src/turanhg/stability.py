@@ -47,6 +47,7 @@ from .construct import Bipartition, Shift, parity_edge_count
 from .core import (
     FormatError,
     Hypergraph,
+    _balanced_sizes,
     _data_lines,
     _read_header,
     _read_rows,
@@ -104,10 +105,9 @@ def turan_graph(s: int, n: int) -> SimpleGraph:
     """The complete s-partite graph on n vertices with balanced parts."""
     if s < 1 or n < 0:
         raise ValueError(f"need s >= 1 and n >= 0, got s={s} n={n}")
-    sizes = [n // s + (1 if i < n % s else 0) for i in range(s)]
     masks = []
     start = 0
-    for size in sizes:
+    for size in _balanced_sizes(n, s):
         masks.append(((1 << size) - 1) << start)
         start += size
     full = (1 << n) - 1 if n else 0
@@ -122,8 +122,7 @@ def turan_graph_count(s: int, n: int) -> int:
     """Edge count of the balanced complete s-partite graph on n vertices."""
     if s < 1 or n < 0:
         raise ValueError(f"need s >= 1 and n >= 0, got s={s} n={n}")
-    sizes = [n // s + (1 if i < n % s else 0) for i in range(s)]
-    return binom_exact(n, 2) - sum(binom_exact(size, 2) for size in sizes)
+    return binom_exact(n, 2) - sum(binom_exact(size, 2) for size in _balanced_sizes(n, s))
 
 
 @dataclass(frozen=True)

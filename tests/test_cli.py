@@ -1,5 +1,9 @@
+import os
 import random
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +294,26 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "check", "maximal", "--file", str(hg), "--r", "1")
     assert (code, out) == (2, "")
     assert err == "error: hypergraph already contains an expanded clique\n"
+
+
+def test_sidorenko_with_more_labels_than_vertices_exits_2():
+    # 2^34 label classes for 8 vertices: refused before any per-label list
+    # is built; the address-space limit keeps a regression from exhausting
+    # the machine
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["construct", "sidorenko", "--n", "8", "--k", "2", "--p", "34", "--allow-remainder"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "turanhg.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "n=8 p=34" in proc.stderr
 
 
 def _readme_commands():

@@ -143,11 +143,54 @@ def brute_sidorenko_edges(n, k, labels):
 
 
 def test_build_sidorenko_matches_brute_force():
-    for p in (1, 2):
-        for n in range(2**p, 17, 2**p):
-            h, lab = cn.build_sidorenko(n, 2, p)
-            assert list(h.edges) == sorted(brute_sidorenko_edges(n, 2, lab.labels))
-            assert h.edge_count == cn.sidorenko_edge_count(n, 2, p)
+    for p in (1, 2, 3):
+        for n in range(2**p, 17):
+            for k in (1, 2, 3):
+                h, lab = cn.build_sidorenko(n, k, p, allow_remainder=True)
+                assert list(h.edges) == sorted(brute_sidorenko_edges(n, k, lab.labels))
+                assert h.edge_count == cn.sidorenko_edge_count(n, k, p, allow_remainder=True)
+                if n % 2**p == 0:
+                    assert (h, lab) == cn.build_sidorenko(n, k, p)
+                    assert h.edge_count == cn.sidorenko_edge_count(n, k, p)
+
+
+def dp_zero_xor_count(k, sizes):
+    """Reference: 2k-subsets with label XOR zero, by a DP over blocks of
+    the given sizes, block w labelled w."""
+    # ways[c][x]: c vertices chosen so far, with label XOR x
+    ways = [[0] * len(sizes) for _ in range(2 * k + 1)]
+    ways[0][0] = 1
+    for w, s in enumerate(sizes):
+        nxt = [[0] * len(sizes) for _ in range(2 * k + 1)]
+        for c in range(2 * k + 1):
+            for x, cnt in enumerate(ways[c]):
+                if not cnt:
+                    continue
+                for j in range(min(s, 2 * k - c) + 1):
+                    nxt[c + j][x ^ w if j & 1 else x] += cnt * binom_exact(s, j)
+        ways = nxt
+    return ways[2 * k][0]
+
+
+def test_sidorenko_edge_count_matches_block_dp():
+    for p in (1, 2, 3, 4):
+        for n in range(2**p, 201):
+            sizes = [n // 2**p + (w < n % 2**p) for w in range(2**p)]
+            for k in (1, 2, 3, 4, 5):
+                want = binom_exact(n, 2 * k) - dp_zero_xor_count(k, sizes)
+                assert cn.sidorenko_edge_count(n, k, p, allow_remainder=True) == want
+                if n % 2**p == 0:
+                    assert cn.sidorenko_edge_count(n, k, p) == want
+
+
+def test_sidorenko_needs_a_vertex_per_label():
+    # p < 1, or n < 2^p (some label class empty), is refused by the
+    # builder and the count alike; tests/test_cli.py covers a large p
+    for n, k, p, rem in [(8, 2, 0, False), (8, 2, -1, False), (0, 2, 1, False), (3, 1, 2, True)]:
+        for f in (cn.build_sidorenko, cn.sidorenko_edge_count):
+            with pytest.raises(ValueError) as err:
+                f(n, k, p, allow_remainder=rem)
+            assert f"n={n} p={p}" in str(err.value)
 
 
 def test_sidorenko_labels_contiguous():
@@ -180,17 +223,6 @@ def test_sidorenko_divisibility():
     assert lab.labels == (0, 0, 1, 1, 2, 3)
     assert h.edge_count == cn.sidorenko_edge_count(6, 2, 2, allow_remainder=True)
     assert list(h.edges) == sorted(brute_sidorenko_edges(6, 2, lab.labels))
-
-
-def test_label_xor():
-    _, lab = cn.build_sidorenko(8, 2, 2)
-    assert cn.label_xor(0b0011, lab) == 0  # both label 0
-    assert cn.label_xor(0b0101, lab) == 0 ^ 1
-    assert cn.label_xor(0b10000001, lab) == 0 ^ 3
-    # disjoint additivity
-    assert cn.label_xor(0b1111, lab) == cn.label_xor(0b0011, lab) ^ cn.label_xor(
-        0b1100, lab
-    )
 
 
 def test_sidorenko_density_approaches_limit():
