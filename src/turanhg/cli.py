@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 when a check comes back negative (a copy is
 found, a coloring or bound check fails, a run is flagged), 2 on usage
 or I/O errors.  Numeric output is printed as exact decimal strings;
 commands with tabular output take --tsv to emit tab-separated rows with
-a header line.
+a header line.  Each command imports only the library modules it runs,
+so parsing, --help and usage errors load none of them.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-
-from . import algebra, construct, core, freeness, krawtchouk, search, shadow, stability
 
 
 def _read_text(path: str) -> str:
@@ -148,6 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_kraw(args) -> int:
+    from . import krawtchouk
+
     if args.subcommand == "eval":
         print(krawtchouk.kraw_eval(args.m, args.n, args.x))
         return 0
@@ -170,6 +171,8 @@ def _cmd_kraw(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import construct, core
+
     if args.subcommand == "parity":
         h, _ = construct.build_parity(args.n, args.k, construct.Shift(args.two_t))
     else:
@@ -181,6 +184,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from . import construct
+
     sh = construct.Shift(args.two_t)
     if args.subcommand == "b":
         print(construct.parity_edge_count(args.n, args.k, sh))
@@ -190,6 +195,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import core, freeness
+
     h = core.read_hypergraph(_read_text(args.file))
     if args.subcommand == "free":
         copy = freeness.find_expansion(h, args.r)
@@ -209,6 +216,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from . import algebra
+
     if args.subcommand == "gen":
         _emit(algebra.write_coloring(algebra.generate_gf2_coloring(args.p)), args.out)
         return 0
@@ -235,6 +244,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_shadow(args) -> int:
+    from . import shadow
+
     fam = shadow.read_family(_read_text(args.file))
     report = shadow.check_lovasz_bound(fam)
     _record(args.tsv, **dataclasses.asdict(report))
@@ -242,6 +253,8 @@ def _cmd_shadow(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from . import core, stability
+
     if args.subcommand == "simonovits":
         g = stability.read_graph(_read_text(args.graph))
         report = stability.simonovits_partition(g, args.s)
@@ -267,6 +280,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import core, search
+
     if args.n > args.cap:
         raise ValueError(
             f"n={args.n} exceeds the search cap {args.cap}; pass --cap {args.n}"

@@ -154,7 +154,7 @@ def parity_degree(n: int, k: int, shift: Shift, side: str) -> int:
     )
 
 
-def _block_sizes(n: int, p: int, allow_remainder: bool) -> list[int]:
+def _check_blocks(n: int, p: int, allow_remainder: bool) -> None:
     if p < 1 or n >> p == 0:
         raise ValueError(
             f"need p >= 1 and n >= 2^p so that every label has a vertex, got n={n} p={p}"
@@ -165,7 +165,20 @@ def _block_sizes(n: int, p: int, allow_remainder: bool) -> list[int]:
             f"n={n} is not divisible by 2^p={blocks}; "
             "pass allow_remainder=True to distribute the remainder round-robin"
         )
-    return _balanced_sizes(n, blocks)
+
+
+def _odd_below(a: int, r: int) -> int:
+    """#{w < r : <a, w> odd}, one term per set bit i of r: the w that
+    agree with r above bit i, have bit i clear and are free below it."""
+    count = 0
+    for i in range(r.bit_length()):
+        if not r >> i & 1:
+            continue
+        if a & ((1 << i) - 1):
+            count += 1 << (i - 1)  # a low bit of a splits the free w evenly
+        elif (a & (r >> (i + 1) << (i + 1))).bit_count() & 1:
+            count += 1 << i
+    return count
 
 
 def build_sidorenko(
@@ -178,7 +191,8 @@ def build_sidorenko(
     first n mod 2^p blocks one extra vertex (a convention, not part of
     the equal-blocks setting).
     """
-    sizes = _block_sizes(n, p, allow_remainder)
+    _check_blocks(n, p, allow_remainder)
+    sizes = _balanced_sizes(n, 1 << p)
     labels = tuple(w for w, s in enumerate(sizes) for _ in range(s))
     return _labelled(k, sizes), GF2Labeling(p, labels)
 
@@ -187,10 +201,18 @@ def sidorenko_edge_count(
     n: int, k: int, p: int, *, allow_remainder: bool = False
 ) -> int:
     """Edge count of build_sidorenko without materializing it, as a sum
-    of parity counts (see the module docstring)."""
-    sizes = _block_sizes(n, p, allow_remainder)
-    total = 0
+    of parity counts (see the module docstring).  The first n mod 2^p
+    blocks hold one vertex more, so the odd side of a has
+    (n >> p) * 2^(p-1) vertices plus those of the larger blocks w with
+    <a, w> odd; each distinct odd side is counted once, by multiplicity."""
+    _check_blocks(n, p, allow_remainder)
+    rem = n & ((1 << p) - 1)
+    if not rem:  # equal blocks: every odd side holds n/2 vertices
+        return parity_edge_count(n, k, Shift(0)) * ((1 << p) - 1) >> (p - 1)
+    base = (n >> p) << (p - 1)
+    sides: dict[int, int] = {}
     for a in range(1, 1 << p):
-        odd = sum(s for w, s in enumerate(sizes) if (a & w).bit_count() & 1)
-        total += parity_edge_count(n, k, Shift(2 * odd - n))
+        odd = base + _odd_below(a, rem)
+        sides[odd] = sides.get(odd, 0) + 1
+    total = sum(m * parity_edge_count(n, k, Shift(2 * odd - n)) for odd, m in sides.items())
     return total >> (p - 1)

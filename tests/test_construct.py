@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -181,6 +182,19 @@ def test_sidorenko_edge_count_matches_block_dp():
                 assert cn.sidorenko_edge_count(n, k, p, allow_remainder=True) == want
                 if n % 2**p == 0:
                     assert cn.sidorenko_edge_count(n, k, p) == want
+
+
+def test_sidorenko_edge_count_with_remainder_at_large_p():
+    # 2^14 blocks: the count walks the remainder's bits, not the blocks
+    # (a sum over blocks per a took seconds at p = 11); at k = 1 the
+    # zero-XOR pairs are exactly the pairs inside one block
+    p = 14
+    for n in (2**p + 1, 2**p + 5000, 3 * 2**p - 1):
+        sizes = [n // 2**p + (w < n % 2**p) for w in range(2**p)]
+        t0 = time.perf_counter()
+        got = cn.sidorenko_edge_count(n, 1, p, allow_remainder=True)
+        assert time.perf_counter() - t0 < 5
+        assert got == binom_exact(n, 2) - sum(binom_exact(s, 2) for s in sizes)
 
 
 def test_sidorenko_needs_a_vertex_per_label():

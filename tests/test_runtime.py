@@ -4,10 +4,13 @@ benchmark and the scripts read exists."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "turanhg"
 
@@ -96,3 +99,73 @@ def test_package_import_loads_no_submodule():
         check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def _modules_after(argv: list[str] | None, cwd: Path) -> tuple[int | None, set[str]]:
+    """run_cli(argv)'s exit code and the turanhg modules a fresh
+    interpreter holds after it; build_parser() alone when argv is None."""
+    call = "code = None; build_parser()" if argv is None else f"code = run_cli({argv!r})"
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from turanhg.cli import build_parser, run_cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    {call}\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('turanhg'))]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    exit_code, modules = json.loads(out)
+    return exit_code, set(modules)
+
+
+_BASE = {"turanhg", "turanhg.cli"}
+_IMPORT_SETS = [
+    (["kraw", "tstar", "--n", "9", "--k", "2"], 0, {"core", "construct", "krawtchouk"}),
+    (["count", "b", "--n", "8", "--k", "2", "--two-t", "4"], 0, {"core", "construct"}),
+    (
+        ["count", "d", "--n", "8", "--k", "2", "--two-t", "4", "--side", "small"],
+        0,
+        {"core", "construct"},
+    ),
+    (["construct", "parity", "--n", "6", "--k", "1", "--two-t", "0"], 0, {"core", "construct"}),
+    (["check", "free", "--file", "h.hg", "--r", "3"], 0, {"core", "freeness"}),
+    (["color", "gen", "--p", "2"], 0, {"core", "algebra"}),
+    (["shadow", "--file", "f.fam"], 0, {"core", "shadow"}),
+    (
+        ["stability", "census", "--file", "h.hg", "--partition", "p.txt"],
+        0,
+        {"core", "construct", "freeness", "stability"},
+    ),
+    (["search", "exact", "--n", "5"], 0, {"core", "construct", "krawtchouk", "search"}),
+    (["--help"], 0, set()),
+    (["count", "b", "--n", "eight"], 2, set()),
+    (["--threads", "0", "count", "b", "--n", "8", "--k", "2", "--two-t", "4"], 2, set()),
+    (None, None, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, library",
+    _IMPORT_SETS,
+    ids=[" ".join(argv) if argv else "build_parser" for argv, _, _ in _IMPORT_SETS],
+)
+def test_cli_command_imports_only_what_it_runs(tmp_path, argv, exit_code, library):
+    # a module-level library import in turanhg.cli would load it for every
+    # command, the usage errors and --help included
+    from turanhg import construct, core, shadow, stability
+
+    h, part = construct.build_parity(6, 1, construct.Shift(0))
+    (tmp_path / "h.hg").write_text(core.write_hypergraph(h))
+    (tmp_path / "p.txt").write_text(stability.write_bipartition(part))
+    fam = core.set_family(5, 2, list(core.enumerate_ksubsets(4, 2)))
+    (tmp_path / "f.fam").write_text(shadow.write_family(fam))
+    want = _BASE | {f"turanhg.{name}" for name in library}
+    assert _modules_after(argv, tmp_path) == (exit_code, want)
