@@ -204,15 +204,12 @@ def sidorenko_edge_count(
     of parity counts (see the module docstring).  The first n mod 2^p
     blocks hold one vertex more, so the odd side of a has
     (n >> p) * 2^(p-1) vertices plus those of the larger blocks w with
-    <a, w> odd; each distinct odd side is counted once, by multiplicity."""
+    <a, w> odd."""
     _check_blocks(n, p, allow_remainder)
     rem = n & ((1 << p) - 1)
-    if not rem:  # equal blocks: every odd side holds n/2 vertices
-        return parity_edge_count(n, k, Shift(0)) * ((1 << p) - 1) >> (p - 1)
     base = (n >> p) << (p - 1)
-    sides: dict[int, int] = {}
-    for a in range(1, 1 << p):
-        odd = base + _odd_below(a, rem)
-        sides[odd] = sides.get(odd, 0) + 1
-    total = sum(m * parity_edge_count(n, k, Shift(2 * odd - n)) for odd, m in sides.items())
+    total = sum(
+        parity_edge_count(n, k, Shift(2 * (base + _odd_below(a, rem)) - n))
+        for a in range(1, 1 << p)
+    )
     return total >> (p - 1)
