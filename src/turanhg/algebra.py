@@ -59,12 +59,10 @@ class EdgeColoring:
 
 
 def edge_coloring(s: int, color_count: int, color_of) -> EdgeColoring:
-    """Build an EdgeColoring from a function or dict over vertex pairs."""
-    get = color_of.__getitem__ if isinstance(color_of, dict) else None
-    flat = []
-    for i, j in combinations(range(s), 2):
-        flat.append(get((i, j)) if get else color_of(i, j))
-    return EdgeColoring(s, color_count, tuple(flat))
+    """Build an EdgeColoring from a function color_of(i, j), i < j."""
+    return EdgeColoring(
+        s, color_count, tuple(color_of(i, j) for i, j in combinations(range(s), 2))
+    )
 
 
 def generate_gf2_coloring(p: int) -> EdgeColoring:
@@ -268,7 +266,7 @@ def read_coloring(text: str) -> EdgeColoring:
     if len(seen) != s * (s - 1) // 2:
         missing = next(p for p in combinations(range(s), 2) if p not in seen)
         raise FormatError(f"pair {missing} has no color")
-    return edge_coloring(s, ncolors, seen)
+    return edge_coloring(s, ncolors, lambda i, j: seen[i, j])
 
 
 def write_coloring(c: EdgeColoring) -> str:

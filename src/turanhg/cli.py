@@ -282,11 +282,7 @@ def _cmd_stability(args) -> int:
 def _cmd_search(args) -> int:
     from . import core, search
 
-    if args.n > args.cap:
-        raise ValueError(
-            f"n={args.n} exceeds the search cap {args.cap}; pass --cap {args.n}"
-        )
-    if args.n > 8:
+    if 8 < args.n <= args.cap:
         print(
             f"warning: exact search above n=8 grows quickly (n={args.n})",
             file=sys.stderr,

@@ -41,11 +41,8 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
-def binom_exact(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) as an exact integer (0 when k > n)."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binom_exact needs nonnegative arguments, got ({n}, {k})")
-    return math.comb(n, k)
+# C(n, k) as an exact integer, 0 when k > n; ValueError on negatives
+binom_exact = math.comb
 
 
 def binom_real(x: float, k: int) -> float:

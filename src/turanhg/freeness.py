@@ -3,13 +3,15 @@
 An expanded clique with r branch sets in a 2k-uniform hypergraph H is a
 family of r pairwise disjoint k-subsets whose C(r, 2) pairwise unions
 are all edges of H.  Build the auxiliary graph G whose vertices are the
-k-subsets of 0..n-1 and whose edges join P and Q exactly when P union Q
-is an edge of H (which forces P and Q disjoint): copies of the expanded
-clique correspond to r-cliques of G, and every edge of H splits into
-C(2k, k)/2 auxiliary edges, so e(G) = C(2k, k)/2 * e(H).
+k-subsets of the covered vertices (those some edge holds) and whose
+edges join P and Q exactly when P union Q is an edge of H (which forces
+P and Q disjoint): copies of the expanded clique correspond to r-cliques
+of G, and every edge of H splits into C(2k, k)/2 auxiliary edges, so
+e(G) = C(2k, k)/2 * e(H).  A k-subset holding an uncovered vertex would
+be isolated, so for r >= 2 leaving it out changes no answer.
 
-Every question is answered on the materialized graph (C(n, k) vertices,
-one adjacency bitset each) by one clique engine in two stages.  First a
+Every question is answered on the materialized graph (one adjacency
+bitset per vertex) by one clique engine in two stages.  First a
 DSATUR coloring (Brelaz 1979) looks for a proper coloring with fewer
 than r colors, which proves that no r-clique exists: this is the
 paper's pigeonhole argument, found rather than assumed (parity of
@@ -18,8 +20,7 @@ paper's pigeonhole argument, found rather than assumed (parity of
 before they are trusted, so a coloring fault can only cost time, never
 give a wrong "free".  When no such coloring turns up, an exact branch
 and bound with a greedy coloring bound decides.  r = 1 needs no graph:
-a copy is a single k-subset, so one exists exactly when n >= k.  For
-r >= 2 both questions first drop the vertices that no edge covers.
+a copy is a single k-subset, so one exists exactly when n >= k.
 Maximality needs no second graph: a new edge e creates a copy exactly
 when some split (P, Q) of e has an (r - 2)-clique inside N(P) & N(Q),
 and that common neighbourhood is always disjoint from e.
@@ -36,7 +37,10 @@ from .core import Hypergraph, enumerate_ksubsets, indices_of, mask_of
 
 @dataclass(frozen=True)
 class AuxGraph:
-    """Materialized auxiliary graph; vertex i is the k-subset subsets[i]."""
+    """Materialized auxiliary graph; vertex i is the k-subset subsets[i].
+
+    subsets are the k-subsets of the covered vertices, lexicographic.
+    """
 
     n: int
     k: int
@@ -66,7 +70,10 @@ def _splits(edge: int, patterns: list[tuple[int, ...]]) -> Iterator[int]:
 def auxiliary_graph(h: Hypergraph) -> AuxGraph:
     """Build the auxiliary graph of H: P ~ Q when P | Q is an edge."""
     k = h.k
-    subsets = tuple(enumerate_ksubsets(h.n, k))
+    covered = 0
+    for e in h.edges:
+        covered |= e
+    subsets = tuple(map(mask_of, combinations(indices_of(covered), k)))
     index = {s: i for i, s in enumerate(subsets)}
     patterns = _split_patterns(k)
     nbrs: list[list[int]] = [[] for _ in subsets]
@@ -209,47 +216,21 @@ def find_clique(adj: tuple[int, ...], r: int) -> tuple[int, ...] | None:
     return _clique_in(adj, (1 << len(adj)) - 1, r)
 
 
-def _on_covered(h: Hypergraph) -> tuple[Hypergraph, tuple[int, ...]]:
-    """h on the vertices its edges cover, relabelled in order, and those vertices.
-
-    For r >= 2 a k-subset holding a vertex in no edge is isolated in the
-    auxiliary graph, so the freeness verdict and witness do not change.
-    """
-    used = 0
-    for e in h.edges:
-        used |= e
-    verts = indices_of(used)
-    if len(verts) == h.n:
-        return h, verts
-    label = {v: i for i, v in enumerate(verts)}
-    inner = Hypergraph(
-        len(verts), h.k, tuple(mask_of(label[v] for v in indices_of(e)) for e in h.edges)
-    )
-    return inner, verts
-
-
 def find_expansion(h: Hypergraph, r: int) -> tuple[int, ...] | None:
     """Branch sets of some expanded-clique copy with r parts, or None.
 
     Returns r pairwise disjoint k-subset masks whose pairwise unions are
     all edges of h: the subsets of an r-clique of the auxiliary graph.
     At r = 1 a copy is a single k-subset, so the answer is 0..k-1 when
-    n >= k.  For r >= 2 the search runs on the covered vertices
-    (_on_covered) and maps the witness back.
+    n >= k.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r == 1:
         return (mask_of(range(h.k)),) if h.n >= h.k else None
-    inner, verts = _on_covered(h)
-    g = auxiliary_graph(inner)
+    g = auxiliary_graph(h)
     got = find_clique(g.adj, r)
-    if got is None:
-        return None
-    branch = [g.subsets[i] for i in got]
-    if inner is h:
-        return tuple(branch)
-    return tuple(mask_of(verts[j] for j in indices_of(p)) for p in branch)
+    return None if got is None else tuple(g.subsets[i] for i in got)
 
 
 def is_maximal_free(h: Hypergraph, r: int) -> bool:
@@ -271,11 +252,13 @@ def is_maximal_free(h: Hypergraph, r: int) -> bool:
         if h.n >= h.k:
             raise ValueError(has_copy)
         return True
-    inner = _on_covered(h)[0]
-    g = auxiliary_graph(inner)
+    g = auxiliary_graph(h)
     if find_clique(g.adj, r) is not None:
         raise ValueError(has_copy)
-    if inner is not h:
+    covered = 0
+    for p in g.subsets:
+        covered |= p
+    if covered.bit_count() < h.n:
         return r == 2 or h.n < 2 * h.k
     index = {s: i for i, s in enumerate(g.subsets)}
     adj = g.adj

@@ -12,10 +12,10 @@ exact_turan solves that system by branch and bound over item bitsets:
 
 * the incumbent is seeded with the parity construction, which is known
   conflict free;
-* the conflicts are renumbered in increasing order of their item mask,
-  and each item keeps the bitset of the conflicts that hold it, so a
-  node reads conflict state with one AND per item rather than a scan of
-  every conflict;
+* conflict_triples lists the conflicts in increasing order of their
+  item mask, and each item keeps the bitset of the conflicts that hold
+  it, so a node reads conflict state with one AND per item rather than
+  a scan of every conflict;
 * a `dead` bitset of conflicts travels down the recursion next to the
   included and excluded items: every exclusion (a branch or a forced
   one) ORs in the excluded item's conflicts, and the rest are live;
@@ -49,7 +49,8 @@ from .krawtchouk import optimal_shift
 
 @dataclass(frozen=True)
 class ConflictSystem:
-    """Items (4-subset masks, lexicographic) and conflict index triples."""
+    """Items (4-subset masks, lexicographic) and sorted conflict index
+    triples, in increasing order of their item mask."""
 
     n: int
     items: tuple[int, ...]
@@ -57,12 +58,13 @@ class ConflictSystem:
 
 
 def conflict_triples(n: int) -> ConflictSystem:
-    """All conflict triples over 0..n-1, deduplicated and sorted."""
+    """All conflict triples over 0..n-1, ordered by (t[2], t[1], t[0]).
+    Each (6-subset, perfect matching) pair gives a different triple."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     items = tuple(enumerate_ksubsets(n, 4))
     index = {m: i for i, m in enumerate(items)}
-    conflicts = set()
+    conflicts = []
     for six in combinations(range(n), 6):
         for pairs in perfect_matchings(six):
             masks = [(1 << a) | (1 << b) for a, b in pairs]
@@ -72,8 +74,9 @@ def conflict_triples(n: int) -> ConflictSystem:
                     for x, y in ((0, 1), (0, 2), (1, 2))
                 )
             )
-            conflicts.add(triple)
-    return ConflictSystem(n, items, tuple(sorted(conflicts)))
+            conflicts.append(triple)
+    conflicts.sort(key=lambda t: (t[2], t[1], t[0]))
+    return ConflictSystem(n, items, tuple(conflicts))
 
 
 def lower_bound_construction(n: int) -> Hypergraph:
@@ -111,16 +114,16 @@ def exact_turan(
         raise ValueError(f"need n >= 0, got {n}")
     if n > cap:
         raise ValueError(
-            f"n={n} exceeds the search cap {cap}; raise cap= to search anyway"
+            f"n={n} exceeds the search cap {cap}; raise the cap to {n}"
         )
     system = conflict_triples(n)
     items = system.items
     nitems = len(items)
     full = (1 << nitems) - 1
 
-    # conflicts renumbered by increasing item mask, so the lowest set bit
+    # conflicts come in increasing item mask order, so the lowest set bit
     # of a conflict bitset is the conflict with the smallest mask
-    triples = sorted(system.conflicts, key=lambda t: (t[2], t[1], t[0]))
+    triples = system.conflicts
     conflict_masks = [(1 << a) | (1 << b) | (1 << d) for a, b, d in triples]
     all_conflicts = (1 << len(triples)) - 1
     conf_of = [0] * nitems  # bitset of the conflicts holding each item
@@ -146,20 +149,21 @@ def exact_turan(
     nodes = 0
     truncated = False
 
-    def include(
-        inc: int, exc: int, dead: int, item: int
-    ) -> tuple[int, int, int] | None:
-        """Add an item; propagate forced exclusions; None on violation."""
+    def include(inc: int, exc: int, dead: int, item: int) -> tuple[int, int, int]:
+        """Add an undecided item; exclude the items it forces out.
+
+        No live conflict of item has its other two items included: the
+        second of them would have excluded item (dead only grows down
+        the tree, and free inclusion takes only items in no live
+        conflict).  Two items of a conflict fix the third (A|B and A|C
+        give B|C), so a forced exclusion kills no other live conflict
+        of item."""
         inc |= 1 << item
         around = conf_of[item] & ~dead
         while around:
             low = around & -around
             around ^= low
-            if low & dead:  # killed by an exclusion forced in this loop
-                continue
             undecided = conflict_masks[low.bit_length() - 1] & ~inc
-            if not undecided:
-                return None
             if undecided & (undecided - 1) == 0:
                 exc |= undecided
                 dead |= conf_of[undecided.bit_length() - 1]
@@ -230,9 +234,7 @@ def exact_turan(
             return
 
         # branch on the undecided item in the most live conflicts
-        grown = include(inc, exc, dead, pick)
-        if grown is not None:
-            rec(*grown)
+        rec(*include(inc, exc, dead, pick))
         rec(inc, exc | (1 << pick), dead | conf_of[pick])
 
     rec(0, 0, 0)

@@ -17,6 +17,7 @@ The text format `turan-fam v1` stores a family:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import (
     FormatError,
@@ -69,6 +70,24 @@ def lovasz_x(size: int, k: int) -> float:
     return (lo + hi) / 2
 
 
+def _holds(size: int, shadow_size: int, k: int) -> bool:
+    """Exactly whether shadow_size >= C(x, k-1), where C(x, k) = size, x >= k - 1.
+
+    C(x, k) = C(x, k-1) (x - k + 1) / k, so x = k size / C(x, k-1) + k - 1.
+    With q = k size / shadow_size + k - 1 the bound holds iff
+    C(q, k-1) <= shadow_size, as C(x, k) and C(x, k-1) both increase on
+    x >= k - 1.  An empty family has bound 0; a nonempty one has a
+    nonempty shadow.
+    """
+    if not size:
+        return True
+    q = Fraction(k * size, shadow_size) + k - 1
+    bound = Fraction(1)
+    for i in range(k - 1):
+        bound = bound * (q - i) / (i + 1)
+    return bound <= shadow_size
+
+
 @dataclass(frozen=True)
 class ShadowReport:
     size: int
@@ -81,15 +100,15 @@ class ShadowReport:
 def check_lovasz_bound(fam: SetFamily) -> ShadowReport:
     """Compare |shadow(A)| against C(x, k-1) at x = lovasz_x(|A|, k).
 
-    The comparison allows the bound a 1e-9 slack in its own favor so
-    that float noise cannot flip a true theorem to false.  An empty
-    family gets bound 0 (the degenerate x = k - 1 root would claim 1).
+    The verdict is exact (_holds); x and bound are floats for display.
+    An empty family gets bound 0 (the degenerate x = k - 1 root would
+    claim 1).
     """
     size = fam.size
     x = lovasz_x(size, fam.k)
     bound = binom_real(x, fam.k - 1) if size else 0.0
     shadow_size = shadow_of(fam).size
-    return ShadowReport(size, x, bound, shadow_size, shadow_size >= bound - 1e-9)
+    return ShadowReport(size, x, bound, shadow_size, _holds(size, shadow_size, fam.k))
 
 
 # --- turan-fam v1 --------------------------------------------------------

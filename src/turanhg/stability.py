@@ -57,7 +57,7 @@ from .core import (
     indices_of,
     mask_of,
 )
-from .freeness import find_clique
+from .freeness import _clique_in, find_clique
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,6 @@ def turan_graph(s: int, n: int) -> SimpleGraph:
         row = full & ~m
         adj.extend([row] * m.bit_count())
     return SimpleGraph(n, tuple(adj))
-
-
-def turan_graph_count(s: int, n: int) -> int:
-    """Edge count of the balanced complete s-partite graph on n vertices."""
-    if s < 1 or n < 0:
-        raise ValueError(f"need s >= 1 and n >= 0, got s={s} n={n}")
-    return binom_exact(n, 2) - sum(binom_exact(size, 2) for size in _balanced_sizes(n, s))
 
 
 @dataclass(frozen=True)
@@ -267,7 +260,7 @@ def simonovits_partition(g: SimpleGraph, s: int) -> SimonovitsReport:
     n = g.n
     c = Fraction(s - 1, 2 * s) - Fraction(g.edge_count, n * n)
     assert c >= 0  # guaranteed by the clique-free check
-    min_deg = min(g.degree(v) for v in range(n)) if n else 0
+    min_deg = min(g.degree(v) for v in range(n))
     alpha = Fraction(s - 1, s) - Fraction(min_deg, n)
 
     failure = None
@@ -292,23 +285,19 @@ def simonovits_partition(g: SimpleGraph, s: int) -> SimonovitsReport:
         alive ^= 1 << target
         deleted.append(target)
 
-    alive_list = [v for v in range(n) if alive >> v & 1]
-    pos = {v: i for i, v in enumerate(alive_list)}
-    sub_adj = tuple(mask_of(pos[u] for u in indices_of(g.adj[v] & alive)) for v in alive_list)
-    clique_idx = find_clique(sub_adj, s)
+    clique = _clique_in(g.adj, alive, s)
 
     parts: list[list[int]] = [[] for _ in range(s)]
     leftovers: list[int] = []
-    clique = None
-    if clique_idx is None:
+    if clique is None:
         failure = failure or "residual graph contains no K_s"
         leftovers = list(range(n))
     else:
-        clique = tuple(sorted(alive_list[i] for i in clique_idx))
+        clique = tuple(sorted(clique))
         a_mask = mask_of(clique)
         for i, a in enumerate(clique):
             parts[i].append(a)
-        for v in alive_list:
+        for v in indices_of(alive):
             if v in clique:
                 continue
             nbrs = g.adj[v] & a_mask

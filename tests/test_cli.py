@@ -255,6 +255,26 @@ def test_search_cap_via_cli(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_search_exact_warns_only_when_the_search_runs(capsys, monkeypatch):
+    # over the cap the library refuses before any search, with no warning
+    code, out, err = run(capsys, "search", "exact", "--n", "10", "--cap", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: n=10 exceeds the search cap 9; raise the cap to 10\n"
+    calls = []
+
+    def stub(n, *, cap, seed):
+        calls.append((n, cap, seed))
+        return search.SearchResult(n, 0, core.hypergraph(n, 2, []), 1, True)
+
+    monkeypatch.setattr(search, "exact_turan", stub)
+    code, out, err = run(capsys, "search", "exact", "--n", "9", "--cap", "9")
+    assert (code, out) == (0, "value 0\nnodes 1\noptimal true\n")
+    assert err == "warning: exact search above n=8 grows quickly (n=9)\n"
+    code, out, err = run(capsys, "search", "exact", "--n", "8")
+    assert (code, err) == (0, "")
+    assert calls == [(9, 9, None), (8, 8, None)]
+
+
 def test_oversized_inputs_exit_2(tmp_path, capsys):
     # a 40-byte input naming 10^8 vertices or 5 * 10^9 pairs is refused
     # from its first gap, not by listing every gap

@@ -53,9 +53,15 @@ def reference_splits(edge, k):
         yield p, edge ^ p
 
 
+def covered_ksubsets(h):
+    """The k-subsets of the vertices some edge holds, lexicographic."""
+    covered = sorted({v for e in h.edges for v in indices_of(e)})
+    return [mask_of(c) for c in combinations(covered, h.k)]
+
+
 def reference_auxiliary_graph(h):
     """Reference build: one dict lookup and two big-int ORs per split."""
-    subsets = tuple(enumerate_ksubsets(h.n, h.k))
+    subsets = tuple(covered_ksubsets(h))
     index = {s: i for i, s in enumerate(subsets)}
     adj = [0] * len(subsets)
     for e in h.edges:
@@ -94,9 +100,9 @@ def test_auxiliary_graph_matches_reference_on_certify_inputs():
 
 
 def verify_free_certificate(h, r, classes):
-    """Check, from h.edges alone, that classes over the lexicographic
-    k-subset indices properly color the auxiliary graph with < r colors."""
-    subsets = list(enumerate_ksubsets(h.n, h.k))
+    """Check, from h.edges alone, that classes over the indices of the
+    covered k-subsets properly color the auxiliary graph with < r colors."""
+    subsets = covered_ksubsets(h)
     if len(classes) >= r:
         return False
     color = {}

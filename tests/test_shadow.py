@@ -105,6 +105,28 @@ def test_bound_holds_random_families():
         assert rep.shadow_size >= rep.bound - 1e-9
 
 
+def test_holds_is_exact_at_large_counts():
+    # C(x, k) k-sets are far too many to list: the tight shadow meets the
+    # bound, and one (k-1)-set fewer does not
+    for k in (2, 3, 4, 5):
+        for x in (10**5, 10**6, 3 * 10**6, 10**7):
+            size, tight = binom_exact(x, k), binom_exact(x, k - 1)
+            assert sh._holds(size, tight, k), (k, x)
+            assert not sh._holds(size, tight - 1, k), (k, x)
+
+
+def test_holds_matches_float_bound_at_small_counts():
+    # at these sizes the float bound is far from every shadow size except
+    # at integer x, where it is within 1e-9 of the tight shadow size
+    for k in (1, 2, 3, 4):
+        for size in range(1, 80):
+            bound = binom_real(sh.lovasz_x(size, k), k - 1)
+            for shadow_size in range(1, 80):
+                want = shadow_size >= bound - 1e-9
+                assert sh._holds(size, shadow_size, k) == want, (k, size, shadow_size)
+    assert sh._holds(0, 0, 3)
+
+
 def test_empty_family_report():
     rep = sh.check_lovasz_bound(set_family(6, 3, []))
     assert rep.size == 0 and rep.shadow_size == 0
