@@ -177,28 +177,33 @@ _TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x0000000
 
 
 def incidence_rows(h: Hypergraph) -> list[int]:
-    """Per-vertex bitsets over edge indices: bit i of row v is set iff v is in edges[i].
+    """Per-vertex bitsets over edge indices: bit i of row v is set iff v is in edges[i]."""
+    return _transpose(h.edges, h.n)
 
-    The transpose is a few big-int operations per 64 vertices.  The edges
-    (or, above n = 64, one 64-bit limb of each) are packed as
-    little-endian words, padded with zero words to whole blocks of 8
-    edges.  Byte column j of that array holds vertices 8j..8j+7 of every
-    edge, and each 8 bytes of it are an 8x8 bit block: edges by vertices.
-    The columns are joined into one int, and the three Hacker's Delight
-    rounds transpose every block at once, so byte t of block b then
-    holds edges 8b..8b+7 for vertex 8j+t.  Row 8j+t is the strided slice
-    of those bytes, read little-endian.
+
+def _transpose(words: Sequence[int], n: int) -> list[int]:
+    """Bit i of row v of the result is bit v of words[i], for v < n.
+
+    The words must lie in 0 .. 2^n - 1.  The transpose is a few big-int
+    operations per 64 rows.  The words (or, above n = 64, one 64-bit limb
+    of each) are packed little-endian, padded with zero words to whole
+    blocks of 8 words.  Byte column j of that array holds bits 8j..8j+7
+    of every word, and each 8 bytes of it are an 8x8 bit block: words by
+    bits.  The columns are joined into one int, and the three Hacker's
+    Delight rounds transpose every block at once, so byte t of block b
+    then holds words 8b..8b+7 at bit 8j+t.  Row 8j+t is the strided
+    slice of those bytes, read little-endian.
     """
-    m = len(h.edges)
+    m = len(words)
     if not m:
-        return [0] * h.n
+        return [0] * n
     col = 8 * -(-m // 8)  # words, and so bytes in a byte column, padded to whole blocks
     pad = bytes(8 * (col - m))
     rows: list[int] = []
-    for low in range(0, h.n, 64):
-        words = h.edges if h.n <= 64 else [e >> low & _WORD for e in h.edges]
-        raw = struct.pack(f"<{m}Q", *words) + pad
-        width = -(-min(64, h.n - low) // 8)
+    for low in range(0, n, 64):
+        limbs = words if n <= 64 else [e >> low & _WORD for e in words]
+        raw = struct.pack(f"<{m}Q", *limbs) + pad
+        width = -(-min(64, n - low) // 8)
         x = int.from_bytes(b"".join([raw[j::8] for j in range(width)]), "little")
         # a 1 at the bottom of every 64-bit word: times a word mask, it repeats the mask
         ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (col * width // 8), "little")
@@ -211,7 +216,7 @@ def incidence_rows(h: Hypergraph) -> list[int]:
             for j in range(width)
             for b in range(8)
         )
-    return rows[: h.n]
+    return rows[:n]
 
 
 def vertex_degrees(h: Hypergraph) -> list[int]:

@@ -30,7 +30,13 @@ exact_turan solves that system by branch and bound over item bitsets:
   (support size, then mask value) fixes which conflicts get packed, and
   with it the bound and so the node count;
 * branching picks an undecided item in the most live conflicts
-  (include branch first), with an optional seeded tie-break order.
+  (include branch first), with an optional seeded tie-break order;
+* the root takes the include branch alone.  Relabelling the vertices
+  maps conflicts to conflicts, so S_n acts on the free families, and
+  it is transitive on the 4-subsets.  For n >= 4 every optimum is
+  nonempty (one 4-subset is free), so some relabelling of it contains
+  the root's pick, and the root's exclude branch holds no larger value
+  than its include branch.  Every other node branches both ways.
 
 The search is exhaustive, so the returned value is exact whenever the
 node budget is not exceeded.
@@ -177,6 +183,7 @@ def exact_turan(
         if max_nodes is not None and nodes > max_nodes:
             truncated = True
             return
+        root = not inc | exc  # every other node has a decided item
 
         live = all_conflicts & ~dead
         undecided = full & ~inc & ~exc
@@ -233,9 +240,11 @@ def exact_turan(
             best_val, best_mask = inc.bit_count(), inc
             return
 
-        # branch on the undecided item in the most live conflicts
+        # branch on the undecided item in the most live conflicts; the
+        # root's exclude branch is a relabelling of its include branch
         rec(*include(inc, exc, dead, pick))
-        rec(inc, exc | (1 << pick), dead | conf_of[pick])
+        if not root:
+            rec(inc, exc | (1 << pick), dead | conf_of[pick])
 
     rec(0, 0, 0)
 

@@ -316,15 +316,15 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     assert err == "error: hypergraph already contains an expanded clique\n"
 
 
-def test_sidorenko_with_more_labels_than_vertices_exits_2():
-    # 2^34 label classes for 8 vertices: refused before any per-label list
-    # is built; the address-space limit keeps a regression from exhausting
-    # the machine
+def run_in_1_gib(*argv):
+    """The CLI in a subprocess under a 1 GiB address-space limit, which
+    keeps a regression that allocates from the header from exhausting
+    the machine."""
+
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    argv = ["construct", "sidorenko", "--n", "8", "--k", "2", "--p", "34", "--allow-remainder"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "turanhg.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
         capture_output=True,
@@ -332,8 +332,27 @@ def test_sidorenko_with_more_labels_than_vertices_exits_2():
         timeout=60,
         preexec_fn=limit_memory,
     )
+
+
+def test_sidorenko_with_more_labels_than_vertices_exits_2():
+    # 2^34 label classes for 8 vertices: refused before any per-label list
+    # is built
+    proc = run_in_1_gib(
+        "construct", "sidorenko", "--n", "8", "--k", "2", "--p", "34", "--allow-remainder"
+    )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and "n=8 p=34" in proc.stderr
+
+
+def test_simonovits_on_an_oversized_graph_header_exits_2(tmp_path):
+    # 10^9 vertex rows would take 8 GB: refused before the first is built
+    graph = tmp_path / "huge.g"
+    graph.write_text("turan-g v1\nn=1000000000\n")
+    proc = run_in_1_gib("stability", "simonovits", "--graph", str(graph), "--s", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: line 2: n=1000000000 exceeds the largest graph order read, 16384\n"
+    )
 
 
 def _readme_commands():

@@ -138,13 +138,17 @@ def test_conflict_system_container():
     assert len(cs.items) == 15
 
 
-def _reference_exact_turan(n, *, cap=8, seed=None, max_nodes=None):
+def _reference_exact_turan(
+    n, *, cap=8, seed=None, max_nodes=None, keep_root_exclude=False
+):
     """exact_turan with the per-conflict scan at every node.
 
     Each node walks every conflict triple to find the live ones, builds
     each live conflict's undecided support and counts item degrees from
     scratch.  The branching rule, bound and visit order are those of
-    exact_turan, so the two must agree node for node.
+    exact_turan, so the two must agree node for node.  With
+    keep_root_exclude the root branches both ways as well, which checks
+    the symmetry argument that lets exact_turan skip that branch.
     """
     if n > cap:
         raise ValueError(n)
@@ -191,6 +195,7 @@ def _reference_exact_turan(n, *, cap=8, seed=None, max_nodes=None):
         if max_nodes is not None and nodes > max_nodes:
             truncated = True
             return
+        root = not inc | exc
         undecided = full & ~inc & ~exc
         busy = 0
         live = []
@@ -234,7 +239,8 @@ def _reference_exact_turan(n, *, cap=8, seed=None, max_nodes=None):
         grown = include(inc, exc, pick)
         if grown is not None:
             rec(*grown)
-        rec(inc, exc | (1 << pick))
+        if keep_root_exclude or not root:
+            rec(inc, exc | (1 << pick))
 
     rec(0, 0)
     edges = tuple(sorted(items[i] for i in range(nitems) if best_mask >> i & 1))
@@ -252,3 +258,20 @@ def test_exact_turan_matches_reference_scan(n, seed, cap, max_nodes):
     r = sr.exact_turan(n, cap=cap, seed=seed, max_nodes=max_nodes)
     got = (r.value, r.nodes, r.proof_of_optimality, r.witness.edges)
     assert got == _reference_exact_turan(n, cap=cap, seed=seed, max_nodes=max_nodes)
+
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+def test_exact_turan_root_cut_keeps_value(n, seed):
+    # the full tree, root exclude branch included, proves the same value
+    r = sr.exact_turan(n, seed=seed)
+    value, _, proved, _ = _reference_exact_turan(n, seed=seed, keep_root_exclude=True)
+    assert (value, proved) == (r.value, r.proof_of_optimality)
+    assert proved
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 101])
+def test_exact_turan_n9_budget_still_cut(seed):
+    # the benchmark's n = 9 budget jobs must stay unproved at 500 nodes
+    r = sr.exact_turan(9, cap=9, seed=seed, max_nodes=500)
+    assert (r.value, r.nodes, r.proof_of_optimality) == (70, 501, False)

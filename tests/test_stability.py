@@ -27,6 +27,38 @@ def test_simple_graph_validation():
         stb.SimpleGraph(2, (0b110, 0b001))
 
 
+def first_adjacency_error(n, adj):
+    """The message of the first defect a row-by-row, edge-by-edge scan meets."""
+    for v, row in enumerate(adj):
+        if row >> n:
+            return f"row {v} mentions vertices >= {n}"
+        if row >> v & 1:
+            return f"self loop at {v}"
+        for u in range(n):
+            if row >> u & 1 and not adj[u] >> v & 1:
+                return f"edge ({v}, {u}) is not symmetric"
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 130])
+def test_simple_graph_symmetry_check_matches_edge_scan(n):
+    # random graphs with a few one-way edges, self loops and stray high bits
+    rng = random.Random(n)
+    for trial in range(20):
+        g = stb.simple_graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3])
+        adj = list(g.adj)
+        for _ in range(trial % 4):
+            v, u = rng.randrange(n), rng.randrange(n + 2)
+            adj[v] ^= 1 << u
+        want = first_adjacency_error(n, adj)
+        if want is None:
+            assert stb.SimpleGraph(n, tuple(adj)).adj == tuple(adj)
+        else:
+            with pytest.raises(ValueError) as err:
+                stb.SimpleGraph(n, tuple(adj))
+            assert str(err.value) == want
+
+
 def turan_graph_count(s, n):
     """Edge count of the balanced complete s-partite graph on n vertices."""
     sizes = [n // s + (1 if i < n % s else 0) for i in range(s)]
@@ -421,6 +453,7 @@ def test_graph_io_round_trip():
         ("turan-g v1\nn=3\ng 0 1\n# a comment\nh 1 2\n", "expected a `g` line"),
         ("turan-g v1\nn=3\ng 0 1 2\n", "expected 2 integers after `g`, got 3"),
         ("turan-g v1\nn=3\n\ng 0 one\n", "must be integers"),
+        ("turan-g v1\nn=16385\n", "n=16385 exceeds the largest graph order read"),
     ],
 )
 def test_graph_io_errors(text, fragment):
