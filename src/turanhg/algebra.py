@@ -22,10 +22,9 @@ The text format `turan-col v1` stores a total edge coloring:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .core import FormatError, _read_header, _read_rows, _write_rows, perfect_matchings
+from .core import FormatError, _Record, _read_header, _read_rows, _write_rows, perfect_matchings
 
 
 def _pair_index(i: int, j: int, s: int) -> int:
@@ -33,21 +32,24 @@ def _pair_index(i: int, j: int, s: int) -> int:
     return i * s - i * (i + 1) // 2 + (j - i - 1)
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """A total coloring of the edges of K_s with colors 0 .. color_count-1."""
+class EdgeColoring(_Record):
+    """A total coloring of the edges of K_s with colors 0 .. color_count-1.
 
-    s: int
-    color_count: int
-    colors: tuple[int, ...]  # flat, lexicographic pair order
+    colors is flat, in lexicographic pair order.
+    """
 
-    def __post_init__(self):
-        if self.s < 0 or self.color_count < 0:
+    __slots__ = ("s", "color_count", "colors")
+
+    def __init__(self, s: int, color_count: int, colors: tuple[int, ...]):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "color_count", color_count)
+        object.__setattr__(self, "colors", colors)
+        if s < 0 or color_count < 0:
             raise ValueError("need s >= 0 and color_count >= 0")
-        npairs = self.s * (self.s - 1) // 2
-        if len(self.colors) != npairs:
-            raise ValueError(f"expected {npairs} pair colors, got {len(self.colors)}")
-        if any(not 0 <= c < self.color_count for c in self.colors):
+        npairs = s * (s - 1) // 2
+        if len(colors) != npairs:
+            raise ValueError(f"expected {npairs} pair colors, got {len(colors)}")
+        if any(not 0 <= c < color_count for c in colors):
             raise ValueError("pair color out of range")
 
     def color_of(self, i: int, j: int) -> int:
@@ -76,15 +78,30 @@ def generate_gf2_coloring(p: int) -> EdgeColoring:
     return edge_coloring(s, s - 1, lambda i, j: (i ^ j) - 1)
 
 
-@dataclass(frozen=True)
-class ColoringReport:
+class ColoringReport(_Record):
     """Outcome of the three structural checks on an EdgeColoring."""
 
-    is_full_coloring: bool
-    every_color_perfect_matching: bool
-    four_set_condition: bool
-    first_violation: tuple[int, int, int, int] | None
-    detail: str | None
+    __slots__ = (
+        "is_full_coloring",
+        "every_color_perfect_matching",
+        "four_set_condition",
+        "first_violation",
+        "detail",
+    )
+
+    def __init__(
+        self,
+        is_full_coloring: bool,
+        every_color_perfect_matching: bool,
+        four_set_condition: bool,
+        first_violation: tuple[int, int, int, int] | None,
+        detail: str | None,
+    ):
+        object.__setattr__(self, "is_full_coloring", is_full_coloring)
+        object.__setattr__(self, "every_color_perfect_matching", every_color_perfect_matching)
+        object.__setattr__(self, "four_set_condition", four_set_condition)
+        object.__setattr__(self, "first_violation", first_violation)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def passed(self) -> bool:
@@ -139,13 +156,15 @@ class GroupError(ValueError):
     """Group reconstruction failed; the message names the witness."""
 
 
-@dataclass(frozen=True)
-class ColorGroup:
+class ColorGroup(_Record):
     """Elementary abelian 2-group on 0..order-1; element c+1 is color c."""
 
-    order: int
-    dimension: int
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("order", "dimension", "table")
+
+    def __init__(self, order: int, dimension: int, table: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "table", table)
 
     def add(self, a: int, b: int) -> int:
         return self.table[a][b]

@@ -11,7 +11,6 @@ so parsing, --help and usage errors load none of them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 
@@ -248,7 +247,14 @@ def _cmd_shadow(args) -> int:
 
     fam = shadow.read_family(_read_text(args.file))
     report = shadow.check_lovasz_bound(fam)
-    _record(args.tsv, **dataclasses.asdict(report))
+    _record(
+        args.tsv,
+        size=report.size,
+        x=report.x,
+        bound=report.bound,
+        shadow_size=report.shadow_size,
+        holds=report.holds,
+    )
     return 0 if report.holds else 1
 
 
@@ -271,6 +277,8 @@ def _cmd_stability(args) -> int:
     h = core.read_hypergraph(_read_text(args.file))
     part = stability.read_bipartition(_read_text(args.partition), h.n)
     if args.subcommand == "census":
+        import dataclasses  # already loaded: TupleCensus is a dataclass
+
         census = stability.classify_tuples(h, part, force=args.force)
         _record(args.tsv, **dataclasses.asdict(census))
         return 0

@@ -27,16 +27,36 @@ and t).  The other counts follow from two identities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Hypergraph, _balanced_sizes, binom_exact, enumerate_ksubsets, mask_of
+from .core import Hypergraph, _Record, _balanced_sizes, binom_exact, enumerate_ksubsets, mask_of
 
 
-@dataclass(frozen=True, order=True)
-class Shift:
-    """Bipartition shift t stored as the integer 2t."""
+class Shift(_Record):
+    """Bipartition shift t stored as the integer 2t, ordered by it."""
 
-    two_t: int
+    __slots__ = ("two_t",)
+
+    def __init__(self, two_t: int):
+        object.__setattr__(self, "two_t", two_t)
+
+    def __lt__(self, other):
+        if other.__class__ is Shift:
+            return self.two_t < other.two_t
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is Shift:
+            return self.two_t <= other.two_t
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is Shift:
+            return self.two_t > other.two_t
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is Shift:
+            return self.two_t >= other.two_t
+        return NotImplemented
 
     def feasible(self, n: int) -> bool:
         """True iff n/2 + t and n/2 - t are both nonnegative integers."""
@@ -49,17 +69,17 @@ class Shift:
         return (n + self.two_t) // 2, (n - self.two_t) // 2
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(_Record):
     """Assignment of each vertex to part 1 or part 2."""
 
-    n: int
-    part_of: tuple[int, ...]
+    __slots__ = ("n", "part_of")
 
-    def __post_init__(self):
-        if len(self.part_of) != self.n:
-            raise ValueError(f"part_of has {len(self.part_of)} entries, expected {self.n}")
-        if any(p not in (1, 2) for p in self.part_of):
+    def __init__(self, n: int, part_of: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "part_of", part_of)
+        if len(part_of) != n:
+            raise ValueError(f"part_of has {len(part_of)} entries, expected {n}")
+        if any(p not in (1, 2) for p in part_of):
             raise ValueError("parts must be 1 or 2")
 
     def mask(self, part: int) -> int:
@@ -71,26 +91,39 @@ class Bipartition:
         return n1, self.n - n1
 
 
-@dataclass(frozen=True)
-class GF2Labeling:
+class GF2Labeling(_Record):
     """Assignment of a GF(2)^p label (an int < 2^p) to each vertex."""
 
-    p: int
-    labels: tuple[int, ...]
+    __slots__ = ("p", "labels")
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"need p >= 1, got {self.p}")
-        if any(not 0 <= w < (1 << self.p) for w in self.labels):
+    def __init__(self, p: int, labels: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "labels", labels)
+        if p < 1:
+            raise ValueError(f"need p >= 1, got {p}")
+        if any(not 0 <= w < (1 << p) for w in labels):
             raise ValueError("labels must lie in 0 .. 2^p - 1")
+
+
+# build_parity and build_sidorenko refuse larger constructions before
+# building any edge: at about 150 bytes per edge at the peak of a build
+# and its turan-hg v1 text, this many already take some 160 MB
+MAX_CONSTRUCTION_EDGES = 1 << 20
+
+
+def _check_edge_count(count: int) -> None:
+    if count > MAX_CONSTRUCTION_EDGES:
+        raise ValueError(
+            f"{count} edges exceed the largest construction built, {MAX_CONSTRUCTION_EDGES}"
+        )
 
 
 def _labelled(k: int, sizes: list[int]) -> Hypergraph:
     """The 2k-subsets with nonzero label XOR; block w of `sizes` is
     contiguous and labelled w.  The count taken from each block fixes
-    the XOR, so the edges are products of per-block subset lists."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    the XOR, so the edges are products of per-block subset lists.  The
+    callers, build_parity and build_sidorenko, check k >= 1 through the
+    edge count they take first."""
     starts = [sum(sizes[:w]) for w in range(len(sizes))]
     subsets: dict[tuple[int, int], list[int]] = {}
     edges: list[int] = []
@@ -122,8 +155,12 @@ def _labelled(k: int, sizes: list[int]) -> Hypergraph:
 
 
 def build_parity(n: int, k: int, shift: Shift) -> tuple[Hypergraph, Bipartition]:
-    """The parity construction; part 1 is the prefix 0 .. n/2+t-1."""
+    """The parity construction; part 1 is the prefix 0 .. n/2+t-1.
+
+    Larger constructions than MAX_CONSTRUCTION_EDGES are refused.
+    """
     n1, n2 = shift.part_sizes(n)
+    _check_edge_count(parity_edge_count(n, k, shift))
     return _labelled(k, [n1, n2]), Bipartition(n, (1,) * n1 + (2,) * n2)
 
 
@@ -189,9 +226,10 @@ def build_sidorenko(
     Labels are assigned in contiguous blocks, vector 0 first.  Equal
     block sizes require 2^p | n; allow_remainder=True instead gives the
     first n mod 2^p blocks one extra vertex (a convention, not part of
-    the equal-blocks setting).
+    the equal-blocks setting).  Larger constructions than
+    MAX_CONSTRUCTION_EDGES are refused.
     """
-    _check_blocks(n, p, allow_remainder)
+    _check_edge_count(sidorenko_edge_count(n, k, p, allow_remainder=allow_remainder))
     sizes = _balanced_sizes(n, 1 << p)
     labels = tuple(w for w, s in enumerate(sizes) for _ in range(s))
     return _labelled(k, sizes), GF2Labeling(p, labels)

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
 
 
 class FormatError(ValueError):
@@ -113,22 +112,61 @@ def _check_members(n: int, size: int, masks: Sequence[int], what: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields in `__slots__` and sets them in its own
+    `__init__` through object.__setattr__, taking them positionally in
+    that order.  The base compares, hashes and prints the field tuple
+    the way a frozen dataclass does (`Shift(two_t=4)`): a record equals
+    only a record of the same class, and assigning or deleting a field
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which reruns its checks
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__qualname__}")
+
+
+class Hypergraph(_Record):
     """A 2k-uniform hypergraph on vertices 0..n-1.
 
     `edges` holds one bitmask per edge, sorted ascending, no duplicates.
     """
 
-    n: int
-    k: int
-    edges: tuple[int, ...]
+    __slots__ = ("n", "k", "edges")
 
-    def __post_init__(self):
-        if self.n < 0 or self.k < 1:
-            raise ValueError(f"need n >= 0 and k >= 1, got n={self.n} k={self.k}")
-        _check_members(self.n, 2 * self.k, self.edges, "edge")
-        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
+    def __init__(self, n: int, k: int, edges: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "edges", edges)
+        if n < 0 or k < 1:
+            raise ValueError(f"need n >= 0 and k >= 1, got n={n} k={k}")
+        _check_members(n, 2 * k, edges, "edge")
+        if any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValueError("edges must be sorted ascending and duplicate free")
 
     @property
@@ -144,19 +182,19 @@ def hypergraph(n: int, k: int, edges: Iterable[int]) -> Hypergraph:
     return Hypergraph(n, k, tuple(sorted(set(edges))))
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_Record):
     """A family of k-subsets of a ground set 0..m-1, sorted, duplicate free."""
 
-    m: int
-    k: int
-    members: tuple[int, ...]
+    __slots__ = ("m", "k", "members")
 
-    def __post_init__(self):
-        if self.m < 0 or self.k < 0:
-            raise ValueError(f"need m >= 0 and k >= 0, got m={self.m} k={self.k}")
-        _check_members(self.m, self.k, self.members, "member")
-        if any(a >= b for a, b in zip(self.members, self.members[1:])):
+    def __init__(self, m: int, k: int, members: tuple[int, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "members", members)
+        if m < 0 or k < 0:
+            raise ValueError(f"need m >= 0 and k >= 0, got m={m} k={k}")
+        _check_members(m, k, members, "member")
+        if any(a >= b for a, b in zip(members, members[1:])):
             raise ValueError("members must be sorted ascending and duplicate free")
 
     @property

@@ -28,24 +28,26 @@ and that common neighbourhood is always disjoint from e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import combinations
-from typing import Iterator
 
-from .core import Hypergraph, enumerate_ksubsets, indices_of, mask_of
+from .core import Hypergraph, _Record, enumerate_ksubsets, indices_of, mask_of
 
 
-@dataclass(frozen=True)
-class AuxGraph:
+class AuxGraph(_Record):
     """Materialized auxiliary graph; vertex i is the k-subset subsets[i].
 
-    subsets are the k-subsets of the covered vertices, lexicographic.
+    subsets are the k-subsets of the covered vertices, lexicographic;
+    adj holds the adjacency bitsets over subset indices.
     """
 
-    n: int
-    k: int
-    subsets: tuple[int, ...]
-    adj: tuple[int, ...]  # adjacency bitsets over subset indices
+    __slots__ = ("n", "k", "subsets", "adj")
+
+    def __init__(self, n: int, k: int, subsets: tuple[int, ...], adj: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "adj", adj)
 
     @property
     def edge_count(self) -> int:

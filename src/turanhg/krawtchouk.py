@@ -22,10 +22,8 @@ optimal_shift scores each candidate with construct.parity_edge_count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .construct import Shift, parity_edge_count
-from .core import binom_exact
+from .core import _Record, binom_exact
 
 
 def kraw_eval(m: int, n: int, x: int) -> int:
@@ -59,14 +57,16 @@ def genfunc_row(n: int, x: int) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class OptimalShiftReport:
+class OptimalShiftReport(_Record):
     """All edge-count maximizing shifts (t >= 0, ascending) and the maximum."""
 
-    n: int
-    k: int
-    max_edges: int
-    maximizers: tuple[Shift, ...]
+    __slots__ = ("n", "k", "max_edges", "maximizers")
+
+    def __init__(self, n: int, k: int, max_edges: int, maximizers: tuple[Shift, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "max_edges", max_edges)
+        object.__setattr__(self, "maximizers", maximizers)
 
 
 def optimal_shift(n: int, k: int) -> OptimalShiftReport:

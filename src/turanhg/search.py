@@ -45,22 +45,25 @@ node budget is not exceeded.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Hypergraph, enumerate_ksubsets, perfect_matchings
+from .core import Hypergraph, _Record, enumerate_ksubsets, perfect_matchings
 from .construct import build_parity
 from .krawtchouk import optimal_shift
 
 
-@dataclass(frozen=True)
-class ConflictSystem:
+class ConflictSystem(_Record):
     """Items (4-subset masks, lexicographic) and sorted conflict index
     triples, in increasing order of their item mask."""
 
-    n: int
-    items: tuple[int, ...]
-    conflicts: tuple[tuple[int, int, int], ...]
+    __slots__ = ("n", "items", "conflicts")
+
+    def __init__(
+        self, n: int, items: tuple[int, ...], conflicts: tuple[tuple[int, int, int], ...]
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "conflicts", conflicts)
 
 
 def conflict_triples(n: int) -> ConflictSystem:
@@ -92,13 +95,17 @@ def lower_bound_construction(n: int) -> Hypergraph:
     return h
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    n: int
-    value: int
-    witness: Hypergraph
-    nodes: int
-    proof_of_optimality: bool
+class SearchResult(_Record):
+    __slots__ = ("n", "value", "witness", "nodes", "proof_of_optimality")
+
+    def __init__(
+        self, n: int, value: int, witness: Hypergraph, nodes: int, proof_of_optimality: bool
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "proof_of_optimality", proof_of_optimality)
 
 
 def exact_turan(

@@ -16,12 +16,12 @@ The text format `turan-fam v1` stores a family:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     FormatError,
     SetFamily,
+    _Record,
     _read_header,
     _read_subsets,
     _write_rows,
@@ -88,13 +88,15 @@ def _holds(size: int, shadow_size: int, k: int) -> bool:
     return bound <= shadow_size
 
 
-@dataclass(frozen=True)
-class ShadowReport:
-    size: int
-    x: float
-    bound: float
-    shadow_size: int
-    holds: bool
+class ShadowReport(_Record):
+    __slots__ = ("size", "x", "bound", "shadow_size", "holds")
+
+    def __init__(self, size: int, x: float, bound: float, shadow_size: int, holds: bool):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "shadow_size", shadow_size)
+        object.__setattr__(self, "holds", holds)
 
 
 def check_lovasz_bound(fam: SetFamily) -> ShadowReport:

@@ -47,6 +47,7 @@ from .construct import Bipartition, Shift, parity_edge_count
 from .core import (
     FormatError,
     Hypergraph,
+    _Record,
     _balanced_sizes,
     _data_lines,
     _read_header,
@@ -61,27 +62,36 @@ from .core import (
 from .freeness import _clique_in, find_clique
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(_Record):
     """An undirected graph on 0..n-1 as adjacency bitmask rows."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self):
-        if len(self.adj) != self.n:
-            raise ValueError(f"adjacency has {len(self.adj)} rows, expected {self.n}")
-        # column v holds the u whose row has v; row v must lie inside it
-        full = (1 << self.n) - 1
-        columns = _transpose([row & full for row in self.adj], self.n)
-        for v, row in enumerate(self.adj):
-            if row >> self.n:
-                raise ValueError(f"row {v} mentions vertices >= {self.n}")
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        if len(adj) != n:
+            raise ValueError(f"adjacency has {len(adj)} rows, expected {n}")
+        # Column v of the transpose holds the u whose row has v; row v must
+        # lie inside it.  The transpose costs about n^2/64 word operations
+        # whatever the density, a scan of each row's set bits a few big-int
+        # operations per bit; measured, they break even near one set bit in
+        # a hundred cells of the n x n matrix, so sparser graphs are scanned.
+        columns = None
+        if 100 * sum(row.bit_count() for row in adj) >= n * n:
+            full = (1 << n) - 1
+            columns = _transpose([row & full for row in adj], n)
+        for v, row in enumerate(adj):
+            if row >> n:
+                raise ValueError(f"row {v} mentions vertices >= {n}")
             if row >> v & 1:
                 raise ValueError(f"self loop at {v}")
-            one_way = row & ~columns[v]
-            if one_way:
-                u = (one_way & -one_way).bit_length() - 1
+            if columns is None:
+                u = next((u for u in indices_of(row) if not adj[u] >> v & 1), -1)
+            else:
+                one_way = row & ~columns[v]
+                u = (one_way & -one_way).bit_length() - 1  # -1 when one_way is 0
+            if u >= 0:
                 raise ValueError(f"edge ({v}, {u}) is not symmetric")
 
     @property
@@ -125,7 +135,11 @@ def turan_graph(s: int, n: int) -> SimpleGraph:
 
 @dataclass(frozen=True)
 class TupleCensus:
-    """Counts of 2k-subsets by parity quality and edge membership."""
+    """Counts of 2k-subsets by parity quality and edge membership.
+
+    Unlike the package's other records it is a dataclass, because
+    callers unpack it with dataclasses.astuple.
+    """
 
     good_edges: int
     bad_edges: int
@@ -216,8 +230,7 @@ def improve_partition(
     )
 
 
-@dataclass(frozen=True)
-class SimonovitsReport:
+class SimonovitsReport(_Record):
     """Outcome of simonovits_partition.
 
     parts: the s vertex classes (sorted tuples covering 0..n-1).
@@ -229,13 +242,27 @@ class SimonovitsReport:
     hypothesis_failure: None, or why the guarantees do not apply.
     """
 
-    parts: tuple[tuple[int, ...], ...]
-    internal_edges: int
-    deleted: tuple[int, ...]
-    c: Fraction
-    alpha: Fraction
-    clique: tuple[int, ...] | None
-    hypothesis_failure: str | None
+    __slots__ = (
+        "parts", "internal_edges", "deleted", "c", "alpha", "clique", "hypothesis_failure"
+    )
+
+    def __init__(
+        self,
+        parts: tuple[tuple[int, ...], ...],
+        internal_edges: int,
+        deleted: tuple[int, ...],
+        c: Fraction,
+        alpha: Fraction,
+        clique: tuple[int, ...] | None,
+        hypothesis_failure: str | None,
+    ):
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "internal_edges", internal_edges)
+        object.__setattr__(self, "deleted", deleted)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "clique", clique)
+        object.__setattr__(self, "hypothesis_failure", hypothesis_failure)
 
 
 def _internal_edges(g: SimpleGraph, parts: list[list[int]]) -> int:

@@ -4,6 +4,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,26 @@ def test_sidorenko_with_more_labels_than_vertices_exits_2():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and "n=8 p=34" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["parity", "--n", "200", "--k", "2", "--two-t", "0"], 32_340_000),
+        (["sidorenko", "--n", "256", "--k", "2", "--p", "3"], 152_936_448),
+    ],
+)
+def test_oversized_construction_exits_2(argv, count):
+    # the edge count is taken before anything is built, so the refusal is
+    # immediate and fits the memory limit
+    start = time.perf_counter()
+    proc = run_in_1_gib("construct", *argv)
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: {count} edges exceed the largest construction built, "
+        f"{construct.MAX_CONSTRUCTION_EDGES}\n"
+    )
 
 
 def test_simonovits_on_an_oversized_graph_header_exits_2(tmp_path):

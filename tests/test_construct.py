@@ -207,6 +207,25 @@ def test_sidorenko_needs_a_vertex_per_label():
             assert f"n={n} p={p}" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        (lambda: cn.build_parity(10, 2, Shift(2)), cn.parity_edge_count(10, 2, Shift(2))),
+        (lambda: cn.build_sidorenko(8, 2, 2), cn.sidorenko_edge_count(8, 2, 2)),
+    ],
+)
+def test_construction_limit_is_exact(build, count, monkeypatch):
+    # a construction of exactly the limit is built, one edge more is refused
+    monkeypatch.setattr(cn, "MAX_CONSTRUCTION_EDGES", count)
+    assert build()[0].edge_count == count
+    monkeypatch.setattr(cn, "MAX_CONSTRUCTION_EDGES", count - 1)
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == (
+        f"{count} edges exceed the largest construction built, {count - 1}"
+    )
+
+
 def test_sidorenko_labels_contiguous():
     _, lab = cn.build_sidorenko(8, 2, 2)
     assert lab.labels == (0, 0, 1, 1, 2, 2, 3, 3)

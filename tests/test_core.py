@@ -1,11 +1,15 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from turanhg import core
+from turanhg import algebra, construct, core, freeness, krawtchouk, search, shadow, stability
 
 
 def test_binom_exact_pascal():
@@ -225,3 +229,63 @@ def test_family_io_round_trip(fam):
     from turanhg.shadow import read_family, write_family
 
     assert read_family(write_family(fam)) == fam
+
+
+# every value record of the package, with field values its checks accept
+RECORDS = [
+    (core.Hypergraph, (4, 1, (3, 5))),
+    (core.SetFamily, (4, 2, (3, 5))),
+    (construct.Shift, (4,)),
+    (construct.Bipartition, (3, (1, 2, 1))),
+    (construct.GF2Labeling, (2, (0, 1, 2, 3))),
+    (krawtchouk.OptimalShiftReport, (9, 2, 63, (construct.Shift(3),))),
+    (search.ConflictSystem, (6, (15, 23), ((0, 1, 2),))),
+    (search.SearchResult, (5, 5, core.Hypergraph(5, 2, (15,)), 3, True)),
+    (freeness.AuxGraph, (4, 1, (1, 2), (2, 1))),
+    (algebra.EdgeColoring, (2, 1, (0,))),
+    (algebra.ColoringReport, (True, True, False, (0, 1, 2, 3), "vertices span 4 colors")),
+    (algebra.ColorGroup, (2, 1, ((0, 1), (1, 0)))),
+    (shadow.ShadowReport, (3, 3.0, 3.0, 3, True)),
+    (stability.SimpleGraph, (2, (2, 1))),
+    (
+        stability.SimonovitsReport,
+        (((0,), (1,)), 0, (), Fraction(1, 4), Fraction(0), (0, 1), None),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_behaves_like_a_frozen_dataclass(cls, values):
+    # the oracle: a frozen dataclass with the same name and fields
+    oracle = dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)(*values)
+    rec, same = cls(*values), cls(*values)
+    assert rec == same and hash(rec) == hash(same) == hash(oracle)
+    assert repr(rec) == repr(oracle)
+    assert not hasattr(rec, "__dict__")
+    # an instance of another record class with the same name and fields
+    # is never equal
+    twin = type(
+        cls.__name__, (core._Record,), {"__slots__": cls.__slots__, "__init__": cls.__init__}
+    )(*values)
+    assert repr(twin) == repr(rec)
+    assert rec != twin and twin != rec
+    assert rec != oracle and rec != values
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.extra = 0
+    assert copy.copy(rec) == pickle.loads(pickle.dumps(rec)) == rec
+
+
+def test_shift_orders_by_two_t():
+    shifts = [construct.Shift(tt) for tt in (4, -2, 0, 3)]
+    assert [sh.two_t for sh in sorted(shifts)] == [-2, 0, 3, 4]
+    a, b = construct.Shift(1), construct.Shift(2)
+    assert (a < b, a <= b, a > b, a >= b) == (True, True, False, False)
+    assert (a < a, a <= a, a > a, a >= a) == (False, True, False, True)
+    assert max(shifts) == construct.Shift(4)
+    with pytest.raises(TypeError):
+        a < 2

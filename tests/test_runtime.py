@@ -102,8 +102,9 @@ def test_package_import_loads_no_submodule():
 
 
 def _modules_after(argv: list[str] | None, cwd: Path) -> tuple[int | None, set[str]]:
-    """run_cli(argv)'s exit code and the turanhg modules a fresh
-    interpreter holds after it; build_parser() alone when argv is None."""
+    """run_cli(argv)'s exit code and which turanhg modules, and which of
+    dataclasses and inspect, a fresh interpreter holds after it;
+    build_parser() alone when argv is None."""
     call = "code = None; build_parser()" if argv is None else f"code = run_cli({argv!r})"
     code = (
         "import contextlib, io, json, sys\n"
@@ -111,7 +112,8 @@ def _modules_after(argv: list[str] | None, cwd: Path) -> tuple[int | None, set[s
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         f"    {call}\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('turanhg'))]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "    if m.startswith('turanhg') or m in ('dataclasses', 'inspect'))]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -159,7 +161,9 @@ _IMPORT_SETS = [
 )
 def test_cli_command_imports_only_what_it_runs(tmp_path, argv, exit_code, library):
     # a module-level library import in turanhg.cli would load it for every
-    # command, the usage errors and --help included
+    # command, the usage errors and --help included; only stability's
+    # TupleCensus is a dataclass, so only its commands load dataclasses
+    # (which imports inspect)
     from turanhg import construct, core, shadow, stability
 
     h, part = construct.build_parity(6, 1, construct.Shift(0))
@@ -168,4 +172,6 @@ def test_cli_command_imports_only_what_it_runs(tmp_path, argv, exit_code, librar
     fam = core.set_family(5, 2, list(core.enumerate_ksubsets(4, 2)))
     (tmp_path / "f.fam").write_text(shadow.write_family(fam))
     want = _BASE | {f"turanhg.{name}" for name in library}
+    if "stability" in library:
+        want |= {"dataclasses", "inspect"}
     assert _modules_after(argv, tmp_path) == (exit_code, want)

@@ -1,11 +1,12 @@
 import random
+import time
 from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from turanhg import stability as stb
+from turanhg import core, stability as stb
 from turanhg.cli import run_cli
 from turanhg.construct import build_parity
 from turanhg.core import binom_exact, enumerate_ksubsets, hypergraph, mask_of, write_hypergraph
@@ -40,12 +41,20 @@ def first_adjacency_error(n, adj):
     return None
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 130])
-def test_simple_graph_symmetry_check_matches_edge_scan(n):
-    # random graphs with a few one-way edges, self loops and stray high bits
+def transposes_and_matches_edge_scan(n, density, monkeypatch):
+    """Check 20 random graphs with a few one-way edges, self loops and
+    stray high bits against the edge scan; the number of SimpleGraph
+    checks, simple_graph's included, that took the transpose."""
+    transposed = []
+
+    def spy(words, n):
+        transposed.append(n)
+        return core._transpose(words, n)
+
+    monkeypatch.setattr(stb, "_transpose", spy)
     rng = random.Random(n)
     for trial in range(20):
-        g = stb.simple_graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3])
+        g = stb.simple_graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
         adj = list(g.adj)
         for _ in range(trial % 4):
             v, u = rng.randrange(n), rng.randrange(n + 2)
@@ -57,6 +66,28 @@ def test_simple_graph_symmetry_check_matches_edge_scan(n):
             with pytest.raises(ValueError) as err:
                 stb.SimpleGraph(n, tuple(adj))
             assert str(err.value) == want
+    return len(transposed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 130])
+def test_simple_graph_symmetry_check_matches_edge_scan(n, monkeypatch):
+    transposed = transposes_and_matches_edge_scan(n, 0.3, monkeypatch)
+    if n >= 7:  # smaller graphs may hold too few edges to be dense
+        assert transposed == 40
+
+
+@pytest.mark.parametrize("n", [64, 65, 130, 300])
+def test_sparse_simple_graph_check_matches_edge_scan(n, monkeypatch):
+    # about one edge per eight vertices: checked edge by edge
+    assert transposes_and_matches_edge_scan(n, 0.25 / n, monkeypatch) == 0
+
+
+def test_simple_graph_check_on_an_empty_graph_is_fast():
+    # a transpose of 16,384 empty rows took 0.84 s; the edge scan has no edge
+    start = time.perf_counter()
+    g = stb.SimpleGraph(stb.MAX_GRAPH_ORDER, (0,) * stb.MAX_GRAPH_ORDER)
+    assert time.perf_counter() - start < 0.1
+    assert g.edge_count == 0
 
 
 def turan_graph_count(s, n):
