@@ -41,9 +41,7 @@ class EdgeColoring(_Record):
     __slots__ = ("s", "color_count", "colors")
 
     def __init__(self, s: int, color_count: int, colors: tuple[int, ...]):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "color_count", color_count)
-        object.__setattr__(self, "colors", colors)
+        _Record.__init__(self, s, color_count, colors)
         if s < 0 or color_count < 0:
             raise ValueError("need s >= 0 and color_count >= 0")
         npairs = s * (s - 1) // 2
@@ -67,6 +65,12 @@ def edge_coloring(s: int, color_count: int, color_of) -> EdgeColoring:
     )
 
 
+# generate_gf2_coloring refuses larger colorings before building any pair:
+# `color gen --p 11`, C(2^11, 2) pair colors, peaked near 290 MB, and each
+# step of p multiplies that by four
+MAX_COLORING_PAIRS = 1 << 20
+
+
 def generate_gf2_coloring(p: int) -> EdgeColoring:
     """Color K_{2^p} on vertex set GF(2)^p by color({u, v}) = u XOR v.
 
@@ -75,6 +79,12 @@ def generate_gf2_coloring(p: int) -> EdgeColoring:
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     s = 1 << p
+    pairs = s * (s - 1) // 2
+    if pairs > MAX_COLORING_PAIRS:
+        raise ValueError(
+            f"p={p} gives {pairs} pair colors, more than the largest coloring built, "
+            f"{MAX_COLORING_PAIRS}"
+        )
     return edge_coloring(s, s - 1, lambda i, j: (i ^ j) - 1)
 
 
@@ -88,20 +98,6 @@ class ColoringReport(_Record):
         "first_violation",
         "detail",
     )
-
-    def __init__(
-        self,
-        is_full_coloring: bool,
-        every_color_perfect_matching: bool,
-        four_set_condition: bool,
-        first_violation: tuple[int, int, int, int] | None,
-        detail: str | None,
-    ):
-        object.__setattr__(self, "is_full_coloring", is_full_coloring)
-        object.__setattr__(self, "every_color_perfect_matching", every_color_perfect_matching)
-        object.__setattr__(self, "four_set_condition", four_set_condition)
-        object.__setattr__(self, "first_violation", first_violation)
-        object.__setattr__(self, "detail", detail)
 
     @property
     def passed(self) -> bool:
@@ -160,11 +156,6 @@ class ColorGroup(_Record):
     """Elementary abelian 2-group on 0..order-1; element c+1 is color c."""
 
     __slots__ = ("order", "dimension", "table")
-
-    def __init__(self, order: int, dimension: int, table: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "table", table)
 
     def add(self, a: int, b: int) -> int:
         return self.table[a][b]

@@ -27,35 +27,20 @@ and t).  The other counts follow from two identities:
 
 from __future__ import annotations
 
+from functools import total_ordering
+
 from .core import Hypergraph, _Record, _balanced_sizes, binom_exact, enumerate_ksubsets, mask_of
 
 
+@total_ordering
 class Shift(_Record):
     """Bipartition shift t stored as the integer 2t, ordered by it."""
 
     __slots__ = ("two_t",)
 
-    def __init__(self, two_t: int):
-        object.__setattr__(self, "two_t", two_t)
-
     def __lt__(self, other):
         if other.__class__ is Shift:
             return self.two_t < other.two_t
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is Shift:
-            return self.two_t <= other.two_t
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is Shift:
-            return self.two_t > other.two_t
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is Shift:
-            return self.two_t >= other.two_t
         return NotImplemented
 
     def feasible(self, n: int) -> bool:
@@ -75,8 +60,7 @@ class Bipartition(_Record):
     __slots__ = ("n", "part_of")
 
     def __init__(self, n: int, part_of: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "part_of", part_of)
+        _Record.__init__(self, n, part_of)
         if len(part_of) != n:
             raise ValueError(f"part_of has {len(part_of)} entries, expected {n}")
         if any(p not in (1, 2) for p in part_of):
@@ -97,8 +81,7 @@ class GF2Labeling(_Record):
     __slots__ = ("p", "labels")
 
     def __init__(self, p: int, labels: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "labels", labels)
+        _Record.__init__(self, p, labels)
         if p < 1:
             raise ValueError(f"need p >= 1, got {p}")
         if any(not 0 <= w < (1 << p) for w in labels):

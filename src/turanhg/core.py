@@ -115,15 +115,26 @@ def _check_members(n: int, size: int, masks: Sequence[int], what: str) -> None:
 class _Record:
     """Base of the package's immutable value records.
 
-    A subclass lists its fields in `__slots__` and sets them in its own
-    `__init__` through object.__setattr__, taking them positionally in
-    that order.  The base compares, hashes and prints the field tuple
-    the way a frozen dataclass does (`Shift(two_t=4)`): a record equals
-    only a record of the same class, and assigning or deleting a field
-    raises AttributeError.
+    A subclass lists its fields once, in `__slots__`, and the base
+    `__init__` takes them positionally in that order.  A subclass
+    overrides `__init__` only to check its values, and then hands them
+    on with `_Record.__init__(self, ...)`.  The base compares, hashes
+    and prints the field tuple the way a frozen dataclass does
+    (`Shift(two_t=4)`): a record equals only a record of the same
+    class, and assigning or deleting a field raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = type(self).__slots__
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {len(names)} fields "
+                f"({', '.join(names)}), got {len(values)}"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in type(self).__slots__)
@@ -160,9 +171,7 @@ class Hypergraph(_Record):
     __slots__ = ("n", "k", "edges")
 
     def __init__(self, n: int, k: int, edges: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", edges)
+        _Record.__init__(self, n, k, edges)
         if n < 0 or k < 1:
             raise ValueError(f"need n >= 0 and k >= 1, got n={n} k={k}")
         _check_members(n, 2 * k, edges, "edge")
@@ -188,9 +197,7 @@ class SetFamily(_Record):
     __slots__ = ("m", "k", "members")
 
     def __init__(self, m: int, k: int, members: tuple[int, ...]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "members", members)
+        _Record.__init__(self, m, k, members)
         if m < 0 or k < 0:
             raise ValueError(f"need m >= 0 and k >= 0, got m={m} k={k}")
         _check_members(m, k, members, "member")

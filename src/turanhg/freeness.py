@@ -43,12 +43,6 @@ class AuxGraph(_Record):
 
     __slots__ = ("n", "k", "subsets", "adj")
 
-    def __init__(self, n: int, k: int, subsets: tuple[int, ...], adj: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(self, "adj", adj)
-
     @property
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2

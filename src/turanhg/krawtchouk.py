@@ -22,6 +22,8 @@ optimal_shift scores each candidate with construct.parity_edge_count.
 
 from __future__ import annotations
 
+import math
+
 from .construct import Shift, parity_edge_count
 from .core import _Record, binom_exact
 
@@ -62,12 +64,6 @@ class OptimalShiftReport(_Record):
 
     __slots__ = ("n", "k", "max_edges", "maximizers")
 
-    def __init__(self, n: int, k: int, max_edges: int, maximizers: tuple[Shift, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "max_edges", max_edges)
-        object.__setattr__(self, "maximizers", maximizers)
-
 
 def optimal_shift(n: int, k: int) -> OptimalShiftReport:
     """Shifts maximizing the parity edge count over a bipartition.
@@ -78,8 +74,8 @@ def optimal_shift(n: int, k: int) -> OptimalShiftReport:
     """
     if k < 1 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 2, got n={n} k={k}")
-    start = n % 2  # smallest feasible 2t
-    candidates = [tt for tt in range(start, n + 1, 2) if tt * tt <= 8 * k * n]
+    # feasible 2t run from n % 2 in steps of 2; (2t)^2 <= 8kn caps them
+    candidates = list(range(n % 2, min(n, math.isqrt(8 * k * n)) + 1, 2))
     if candidates[-1] != n:
         candidates.append(n)
     best = -1

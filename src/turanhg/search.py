@@ -58,13 +58,6 @@ class ConflictSystem(_Record):
 
     __slots__ = ("n", "items", "conflicts")
 
-    def __init__(
-        self, n: int, items: tuple[int, ...], conflicts: tuple[tuple[int, int, int], ...]
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "conflicts", conflicts)
-
 
 def conflict_triples(n: int) -> ConflictSystem:
     """All conflict triples over 0..n-1, ordered by (t[2], t[1], t[0]).
@@ -97,15 +90,6 @@ def lower_bound_construction(n: int) -> Hypergraph:
 
 class SearchResult(_Record):
     __slots__ = ("n", "value", "witness", "nodes", "proof_of_optimality")
-
-    def __init__(
-        self, n: int, value: int, witness: Hypergraph, nodes: int, proof_of_optimality: bool
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "proof_of_optimality", proof_of_optimality)
 
 
 def exact_turan(

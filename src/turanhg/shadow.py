@@ -91,13 +91,6 @@ def _holds(size: int, shadow_size: int, k: int) -> bool:
 class ShadowReport(_Record):
     __slots__ = ("size", "x", "bound", "shadow_size", "holds")
 
-    def __init__(self, size: int, x: float, bound: float, shadow_size: int, holds: bool):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "shadow_size", shadow_size)
-        object.__setattr__(self, "holds", holds)
-
 
 def check_lovasz_bound(fam: SetFamily) -> ShadowReport:
     """Compare |shadow(A)| against C(x, k-1) at x = lovasz_x(|A|, k).

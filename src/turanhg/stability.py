@@ -68,8 +68,7 @@ class SimpleGraph(_Record):
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        _Record.__init__(self, n, adj)
         if len(adj) != n:
             raise ValueError(f"adjacency has {len(adj)} rows, expected {n}")
         # Column v of the transpose holds the u whose row has v; row v must
@@ -246,24 +245,6 @@ class SimonovitsReport(_Record):
         "parts", "internal_edges", "deleted", "c", "alpha", "clique", "hypothesis_failure"
     )
 
-    def __init__(
-        self,
-        parts: tuple[tuple[int, ...], ...],
-        internal_edges: int,
-        deleted: tuple[int, ...],
-        c: Fraction,
-        alpha: Fraction,
-        clique: tuple[int, ...] | None,
-        hypothesis_failure: str | None,
-    ):
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "internal_edges", internal_edges)
-        object.__setattr__(self, "deleted", deleted)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "clique", clique)
-        object.__setattr__(self, "hypothesis_failure", hypothesis_failure)
-
 
 def _internal_edges(g: SimpleGraph, parts: list[list[int]]) -> int:
     total = 0
@@ -349,13 +330,13 @@ def simonovits_partition(g: SimpleGraph, s: int) -> SimonovitsReport:
 
     parts_sorted = [sorted(p) for p in parts]
     return SimonovitsReport(
-        parts=tuple(tuple(p) for p in parts_sorted),
-        internal_edges=_internal_edges(g, parts_sorted),
-        deleted=tuple(deleted),
-        c=c,
-        alpha=alpha,
-        clique=clique,
-        hypothesis_failure=failure,
+        tuple(tuple(p) for p in parts_sorted),
+        _internal_edges(g, parts_sorted),
+        tuple(deleted),
+        c,
+        alpha,
+        clique,
+        failure,
     )
 
 

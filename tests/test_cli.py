@@ -365,6 +365,16 @@ def test_oversized_construction_exits_2(argv, count):
     )
 
 
+def test_oversized_color_gen_exits_2():
+    # C(2^14, 2) pair colors are counted, not built, before the refusal
+    proc = run_in_1_gib("color", "gen", "--p", "14")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: p=14 gives 134209536 pair colors, more than the largest coloring built, "
+        f"{algebra.MAX_COLORING_PAIRS}\n"
+    )
+
+
 def test_simonovits_on_an_oversized_graph_header_exits_2(tmp_path):
     # 10^9 vertex rows would take 8 GB: refused before the first is built
     graph = tmp_path / "huge.g"

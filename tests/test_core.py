@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import importlib
 import math
 import pickle
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +11,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+import turanhg
 from turanhg import algebra, construct, core, freeness, krawtchouk, search, shadow, stability
 
 
@@ -278,6 +281,22 @@ def test_record_behaves_like_a_frozen_dataclass(cls, values):
     with pytest.raises(AttributeError):
         rec.extra = 0
     assert copy.copy(rec) == pickle.loads(pickle.dumps(rec)) == rec
+    # one value too few or too many is refused, as by a generated __init__
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+def test_every_record_is_checked_against_the_oracle():
+    # a record class added to any module must join RECORDS above
+    found = set()
+    for info in pkgutil.iter_modules(turanhg.__path__):
+        module = importlib.import_module(f"turanhg.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, core._Record) and obj is not core._Record:
+                found.add(obj)
+    assert found == {cls for cls, _ in RECORDS}
 
 
 def test_shift_orders_by_two_t():

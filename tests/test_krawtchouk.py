@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from turanhg import krawtchouk as kw
+from turanhg.construct import Shift
 from turanhg.core import binom_exact
 
 
@@ -141,6 +144,16 @@ def test_optimal_shift_value_is_max():
             rep = kw.optimal_shift(n, k)
             assert all(b <= rep.max_edges for b in counts.values())
             assert all(counts[s.two_t] == rep.max_edges for s in rep.maximizers)
+
+
+def test_optimal_shift_scans_only_the_window():
+    # n = 10^10 has 5 * 10^9 + 1 feasible shifts; the scan takes the
+    # O(sqrt(kn)) of them in the window and the endpoint
+    start = time.perf_counter()
+    r = kw.optimal_shift(10**10, 1)
+    assert time.perf_counter() - start < 10
+    assert r.max_edges == (5 * 10**9) ** 2
+    assert r.maximizers == (Shift(0),)
 
 
 def test_optimal_shift_domain():

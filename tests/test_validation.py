@@ -39,6 +39,11 @@ CASES = {
     ),
     "coloring-range": (lambda: al.EdgeColoring(2, 1, (1,)), ValueError, "pair color out of range"),
     "gf2-coloring-p": (lambda: al.generate_gf2_coloring(0), ValueError, "need p >= 1, got 0"),
+    "gf2-coloring-size": (
+        lambda: al.generate_gf2_coloring(11),
+        ValueError,
+        "p=11 gives 2096128 pair colors, more than the largest coloring built, 1048576",
+    ),
     "group-no-color": (
         lambda: al.build_group(al.EdgeColoring(1, 0, ())),
         al.GroupError,
