@@ -2,13 +2,20 @@
 
 The setting: the edges of K_s are colored with s - 1 colors so that
 every color class is a perfect matching and every 4 vertices span
-either exactly 3 or exactly 6 distinct colors.  Under those conditions
-the colors, together with a formal zero, form an elementary abelian
-2-group: the sum of two distinct colors c_i, c_j is read off by fixing
-any base vertex x, following its color-i and color-j matching partners
-y_i and y_j, and taking the color of the edge y_i y_j.  The result must
-not depend on the base vertex, the operation must be associative, and
-the group order s must then be a power of 2.
+exactly 3 or exactly 6 distinct colors (verify_coloring).  Color c is
+then a fixed-point-free involution sigma_c, and a 4-set with two
+disjoint edges of one color spans 3 colors, one on each pair of
+disjoint edges.  On {x, sigma_i x, sigma_j x, sigma_j sigma_i x}, with
+color j twice, this makes sigma_i and sigma_j commute and gives
+color(x, sigma_j sigma_i x) = color(sigma_i x, sigma_j x).  On
+{x, sigma_l x, tau x, sigma_l tau x}, tau = sigma_j sigma_i, it shows
+that moving x along any color l keeps color(x, tau x), so tau is
+sigma_{i+j} for one color i + j.  The identity and the sigma_c thus
+form a group of commuting involutions, elementary abelian of order
+s = 2^d, that acts regularly.  build_group reads it off vertex 0:
+vertex v stands for color(0, v), and the sum of the elements of u and
+v is color(u, v).  No later check can fail; tests/test_algebra.py
+keeps the exhaustive ones (all base vertices and triples) as oracles.
 
 generate_gf2_coloring builds the model instance: vertices are the
 vectors of GF(2)^p and the color of an edge is the XOR of its ends.
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import FormatError, _Record, _read_header, _read_rows, _write_rows, perfect_matchings
+from .core import FormatError, _Record, _read_header, _read_rows, _write_rows
 
 
 def _pair_index(i: int, j: int, s: int) -> int:
@@ -149,7 +156,7 @@ def verify_coloring(c: EdgeColoring) -> ColoringReport:
 
 
 class GroupError(ValueError):
-    """Group reconstruction failed; the message names the witness."""
+    """The coloring fails verification or has no color."""
 
 
 class ColorGroup(_Record):
@@ -162,94 +169,21 @@ class ColorGroup(_Record):
 
 
 def build_group(c: EdgeColoring) -> ColorGroup:
-    """Recover the group structure on the colors plus a formal zero.
-
-    Requires verify_coloring(c) to pass.  The sum of distinct colors is
-    read through matching partners of a base vertex; agreement over all
-    base vertices, associativity, and |group| = 2^dimension are all
-    checked exhaustively and failures name the violating vertices or
-    triple.
-    """
+    """The group on the colors plus a formal zero, element c + 1 for
+    color c; requires verify_coloring(c) to pass."""
     report = verify_coloring(c)
     if not report.passed:
         raise GroupError(f"coloring fails verification: {report.detail}")
     s = c.s
     if s < 2:
         raise GroupError("need at least one color to build a group")
-
-    partner = [[-1] * s for _ in range(c.color_count)]
-    for i, j in combinations(range(s), 2):
-        col = c.color_of(i, j)
-        partner[col][i] = j
-        partner[col][j] = i
-
-    base_sum: list[list[int]] = [[-1] * c.color_count for _ in range(c.color_count)]
-    for x in range(s):
-        for ci in range(c.color_count):
-            yi = partner[ci][x]
-            for cj in range(ci + 1, c.color_count):
-                yj = partner[cj][x]
-                val = c.color_of(yi, yj)
-                if base_sum[ci][cj] == -1:
-                    base_sum[ci][cj] = val
-                elif base_sum[ci][cj] != val:
-                    raise GroupError(
-                        f"colors {ci}+{cj} disagree between base vertices: "
-                        f"got {val} at vertex {x}, {base_sum[ci][cj]} earlier"
-                    )
-
+    # the pairs (0, 1) .. (0, s - 1) lead the lexicographic pair order
+    elem = [0, *(col + 1 for col in c.colors[: s - 1])]
     table = [[0] * s for _ in range(s)]
-    for a in range(s):
-        table[0][a] = table[a][0] = a
-        table[a][a] = 0
-    for ci in range(c.color_count):
-        for cj in range(ci + 1, c.color_count):
-            val = base_sum[ci][cj] + 1
-            table[ci + 1][cj + 1] = table[cj + 1][ci + 1] = val
-
-    for a in range(s):
-        for b in range(s):
-            ab = table[a][b]
-            for d in range(s):
-                if table[ab][d] != table[a][table[b][d]]:
-                    raise GroupError(f"associativity fails on triple ({a}, {b}, {d})")
-
-    if s & (s - 1):
-        raise GroupError(f"group order {s} is not a power of 2")
-    return ColorGroup(s, s.bit_length() - 1, tuple(tuple(row) for row in table))
-
-
-def enumerate_one_factorizations(s: int) -> list[EdgeColoring]:
-    """All partitions of E(K_s) into perfect matchings, as colorings.
-
-    Colors are numbered by the matching partner of vertex 0, ascending,
-    which makes the enumeration order deterministic.  s must be even.
-    """
-    if s < 2 or s % 2:
-        raise ValueError(f"K_{s} has no one-factorization")
-    all_pairs = list(combinations(range(s), 2))
-    factorizations: list[EdgeColoring] = []
-
-    def grow(uncovered: frozenset[tuple[int, int]], chosen: list[tuple]):
-        if not uncovered:
-            ordered = sorted(chosen, key=lambda m: dict(m)[0])
-            color_map = {}
-            for col, matching in enumerate(ordered):
-                for pair in matching:
-                    color_map[pair] = col
-            factorizations.append(EdgeColoring(
-                s, s - 1, tuple(color_map[p] for p in all_pairs)
-            ))
-            return
-        pivot = min(uncovered)
-        rest = tuple(v for v in range(s) if v not in pivot)
-        for tail in perfect_matchings(rest):
-            matching = (pivot,) + tail
-            if all(pair in uncovered for pair in matching):
-                grow(uncovered - set(matching), chosen + [matching])
-
-    grow(frozenset(all_pairs), [])
-    return factorizations
+    for (u, v), col in zip(combinations(range(s), 2), c.colors):
+        a, b = elem[u], elem[v]
+        table[a][b] = table[b][a] = col + 1
+    return ColorGroup(s, s.bit_length() - 1, tuple(map(tuple, table)))
 
 
 # --- turan-col v1 --------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 1 when a check comes back negative (a copy is
 found, a coloring or bound check fails, a run is flagged), 2 on usage
-or I/O errors.  Numeric output is printed as exact decimal strings;
-commands with tabular output take --tsv to emit tab-separated rows with
-a header line.  Each command imports only the library modules it runs,
-so parsing, --help and usage errors load none of them.
+or I/O errors.  Numeric output is printed as exact decimal strings of
+any length (_text); commands with tabular output take --tsv to emit
+tab-separated rows with a header line.  Each command imports only the
+library modules it runs, so parsing, --help and usage errors load none
+of them.
 """
 
 from __future__ import annotations
@@ -27,9 +28,22 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _text(value) -> str:
+    """str(value) at any length: Python's int -> str digit limit (3.10.7
+    and later) is lifted for this conversion only, so readers keep it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _record(tsv: bool = False, **fields) -> None:
     """Print fields as `name value` lines, or as a TSV header and one row."""
-    values = [str(v).lower() if isinstance(v, bool) else str(v) for v in fields.values()]
+    values = [str(v).lower() if isinstance(v, bool) else _text(v) for v in fields.values()]
     if tsv:
         print("\t".join(fields))
         print("\t".join(values))
@@ -149,11 +163,10 @@ def _cmd_kraw(args) -> int:
     from . import krawtchouk
 
     if args.subcommand == "eval":
-        print(krawtchouk.kraw_eval(args.m, args.n, args.x))
+        print(_text(krawtchouk.kraw_eval(args.m, args.n, args.x)))
         return 0
     if args.subcommand == "row":
-        for v in krawtchouk.genfunc_row(args.n, args.x):
-            print(v)
+        print("\n".join(map(_text, krawtchouk.genfunc_row(args.n, args.x))))
         return 0
     report = krawtchouk.optimal_shift(args.n, args.k)
     if args.one:
@@ -161,9 +174,9 @@ def _cmd_kraw(args) -> int:
     elif args.tsv:
         print("two_t\tmax_edges")
         for sh in report.maximizers:
-            print(f"{sh.two_t}\t{report.max_edges}")
+            print(f"{sh.two_t}\t{_text(report.max_edges)}")
     else:
-        print(report.max_edges)
+        print(_text(report.max_edges))
         for sh in report.maximizers:
             print(sh.two_t)
     return 0
@@ -187,9 +200,9 @@ def _cmd_count(args) -> int:
 
     sh = construct.Shift(args.two_t)
     if args.subcommand == "b":
-        print(construct.parity_edge_count(args.n, args.k, sh))
+        print(_text(construct.parity_edge_count(args.n, args.k, sh)))
     else:
-        print(construct.parity_degree(args.n, args.k, sh, args.side))
+        print(_text(construct.parity_degree(args.n, args.k, sh, args.side)))
     return 0
 
 

@@ -27,6 +27,8 @@ from turanhg import (
 from turanhg.cli import run_cli
 from turanhg.krawtchouk import Shift
 
+from test_algebra import enumerate_one_factorizations
+
 RESULTS: dict[int, tuple[str, bool]] = {}
 
 
@@ -83,6 +85,26 @@ def test_criterion_02_degree_formula():
     )
 
 
+def _kraw_sum(m: int, n: int, x: int) -> int:
+    """K_m^n(x) = sum_i (-1)^i C(x, i) C(n - x, m - i)."""
+    total = 0
+    for i in range(m + 1):
+        term = core.binom_exact(x, i) * core.binom_exact(n - x, m - i)
+        total += -term if i & 1 else term
+    return total
+
+
+def _genfunc_expansion(n: int, x: int) -> list[int]:
+    """Coefficients of (1 - z)^x (1 + z)^(n-x), by n multiplications
+    with (1 - z) or (1 + z); entry m is K_m^n(x)."""
+    coeffs = [1]
+    for _ in range(x):
+        coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    for _ in range(n - x):
+        coeffs = [a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def _kraw_shifted(m: int, n: int, two_t: int) -> int:
     """K_m^n(n/2 + t) for t >= 0 by the shift form.
 
@@ -102,20 +124,23 @@ def test_criterion_03_krawtchouk_routes():
     bad = []
     for n in range(0, 61):
         for x in range(0, n + 1):
-            row = krawtchouk.genfunc_row(n, x)
+            # the library's recurrence, whole row and one value at a time
+            lib_row = krawtchouk.genfunc_row(n, x)
+            row = _genfunc_expansion(n, x)
             for m in range(0, n + 1):
-                a = krawtchouk.kraw_eval(m, n, x)
+                a = _kraw_sum(m, n, x)
                 if 2 * x >= n:
                     c = _kraw_shifted(m, n, 2 * x - n)
                 else:
                     # reflect to the upper half: K_m(x) = (-1)^m K_m(n-x)
                     c = (-1) ** m * _kraw_shifted(m, n, n - 2 * x)
-                if not (a == row[m] == c):
+                if not (a == row[m] == c == lib_row[m] == krawtchouk.kraw_eval(m, n, x)):
                     bad.append((m, n, x))
     elapsed = time.monotonic() - t0
     record(
         3,
-        "Krawtchouk sum, generating function and shifted form agree (n<=60)",
+        "Krawtchouk recurrence matches the sum, generating function and "
+        "shifted form (n<=60)",
         not bad and elapsed < 30,
         f"mismatches={bad[:5]} elapsed={elapsed:.1f}s",
     )
@@ -346,7 +371,7 @@ def test_criterion_07_coloring_algebra():
     if passing != 6:
         bad.append(("scan-count", passing))
 
-    facts = algebra.enumerate_one_factorizations(6)
+    facts = enumerate_one_factorizations(6)
     if len(facts) != 6:
         bad.append(("k6-count", len(facts)))
     for i, col in enumerate(facts):

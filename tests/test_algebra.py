@@ -3,6 +3,97 @@ from itertools import combinations, product
 import pytest
 
 from turanhg import algebra as al
+from turanhg.core import perfect_matchings
+
+
+def enumerate_one_factorizations(s: int) -> list[al.EdgeColoring]:
+    """All partitions of E(K_s) into perfect matchings, as colorings.
+
+    Colors are numbered by the matching partner of vertex 0, ascending,
+    which makes the enumeration order deterministic.  s must be even.
+    """
+    if s < 2 or s % 2:
+        raise ValueError(f"K_{s} has no one-factorization")
+    all_pairs = list(combinations(range(s), 2))
+    factorizations: list[al.EdgeColoring] = []
+
+    def grow(uncovered: frozenset[tuple[int, int]], chosen: list[tuple]):
+        if not uncovered:
+            ordered = sorted(chosen, key=lambda m: dict(m)[0])
+            color_map = {}
+            for col, matching in enumerate(ordered):
+                for pair in matching:
+                    color_map[pair] = col
+            factorizations.append(al.EdgeColoring(
+                s, s - 1, tuple(color_map[p] for p in all_pairs)
+            ))
+            return
+        pivot = min(uncovered)
+        rest = tuple(v for v in range(s) if v not in pivot)
+        for tail in perfect_matchings(rest):
+            matching = (pivot,) + tail
+            if all(pair in uncovered for pair in matching):
+                grow(uncovered - set(matching), chosen + [matching])
+
+    grow(frozenset(all_pairs), [])
+    return factorizations
+
+
+def _reference_build_group(c: al.EdgeColoring) -> al.ColorGroup:
+    """build_group with every check made exhaustively.
+
+    The sum of distinct colors is read through the matching partners of
+    every base vertex, and agreement over all base vertices,
+    associativity over all triples and |group| = 2^dimension are each
+    checked, failures naming the violating vertices or triple.
+    """
+    report = al.verify_coloring(c)
+    if not report.passed:
+        raise al.GroupError(f"coloring fails verification: {report.detail}")
+    s = c.s
+    if s < 2:
+        raise al.GroupError("need at least one color to build a group")
+
+    partner = [[-1] * s for _ in range(c.color_count)]
+    for i, j in combinations(range(s), 2):
+        col = c.color_of(i, j)
+        partner[col][i] = j
+        partner[col][j] = i
+
+    base_sum: list[list[int]] = [[-1] * c.color_count for _ in range(c.color_count)]
+    for x in range(s):
+        for ci in range(c.color_count):
+            yi = partner[ci][x]
+            for cj in range(ci + 1, c.color_count):
+                yj = partner[cj][x]
+                val = c.color_of(yi, yj)
+                if base_sum[ci][cj] == -1:
+                    base_sum[ci][cj] = val
+                elif base_sum[ci][cj] != val:
+                    raise al.GroupError(
+                        f"colors {ci}+{cj} disagree between base vertices: "
+                        f"got {val} at vertex {x}, {base_sum[ci][cj]} earlier"
+                    )
+
+    table = [[0] * s for _ in range(s)]
+    for a in range(s):
+        table[0][a] = table[a][0] = a
+        table[a][a] = 0
+    for ci in range(c.color_count):
+        for cj in range(ci + 1, c.color_count):
+            val = base_sum[ci][cj] + 1
+            table[ci + 1][cj + 1] = table[cj + 1][ci + 1] = val
+
+    for a in range(s):
+        for b in range(s):
+            ab = table[a][b]
+            for d in range(s):
+                if table[ab][d] != table[a][table[b][d]]:
+                    raise al.GroupError(f"associativity fails on triple ({a}, {b}, {d})")
+
+    if s & (s - 1):
+        raise al.GroupError(f"group order {s} is not a power of 2")
+    return al.ColorGroup(s, s.bit_length() - 1, tuple(tuple(row) for row in table))
 
 
 def test_gf2_colorings_verify():
@@ -53,20 +144,20 @@ def test_k4_exhaustive_scan():
 
 
 def test_one_factorization_counts():
-    assert len(al.enumerate_one_factorizations(2)) == 1
-    assert len(al.enumerate_one_factorizations(4)) == 1
-    assert len(al.enumerate_one_factorizations(6)) == 6
+    assert len(enumerate_one_factorizations(2)) == 1
+    assert len(enumerate_one_factorizations(4)) == 1
+    assert len(enumerate_one_factorizations(6)) == 6
     with pytest.raises(ValueError):
-        al.enumerate_one_factorizations(5)
+        enumerate_one_factorizations(5)
 
 
 def test_k4_factorization_is_gf2():
-    f4 = al.enumerate_one_factorizations(4)
+    f4 = enumerate_one_factorizations(4)
     assert f4[0] == al.generate_gf2_coloring(2)
 
 
 def test_k6_factorizations_fail_four_set_condition():
-    for c in al.enumerate_one_factorizations(6):
+    for c in enumerate_one_factorizations(6):
         rep = al.verify_coloring(c)
         assert rep.is_full_coloring
         assert rep.every_color_perfect_matching
@@ -79,6 +170,33 @@ def test_k6_factorizations_fail_four_set_condition():
         assert len(spanned) not in (3, 6)
         with pytest.raises(al.GroupError):
             al.build_group(c)
+
+
+def _check_against_reference(c: al.EdgeColoring) -> bool:
+    """Whether c passes verification; if so, build_group agrees with the
+    exhaustive reference, which raises nothing, and order = 2^dimension."""
+    if not al.verify_coloring(c).passed:
+        for build in (al.build_group, _reference_build_group):
+            with pytest.raises(al.GroupError, match="fails verification"):
+                build(c)
+        return False
+    g = al.build_group(c)
+    assert g == _reference_build_group(c)
+    assert g.order == 2**g.dimension == c.s
+    return True
+
+
+def test_build_group_matches_exhaustive_reference():
+    # every check the reference makes after verification holds, on the
+    # GF(2)^p colorings, all 3^6 colorings of K_4 and all one-factorizations
+    # of K_8, of which exactly 30 pass
+    for p in range(1, 6):
+        assert _check_against_reference(al.generate_gf2_coloring(p))
+    k4 = [al.EdgeColoring(4, 3, a) for a in product(range(3), repeat=6)]
+    assert sum(map(_check_against_reference, k4)) == 6
+    k8 = enumerate_one_factorizations(8)
+    assert len(k8) == 6240
+    assert sum(map(_check_against_reference, k8)) == 30
 
 
 def test_verify_rejects_wrong_color_count():
@@ -98,7 +216,7 @@ def test_verify_rejects_non_matching_color():
 
 
 def test_four_set_first_violation_is_lexicographic():
-    cols = [c for c in al.enumerate_one_factorizations(6)]
+    cols = [c for c in enumerate_one_factorizations(6)]
     viols = {c: al.verify_coloring(c).first_violation for c in cols}
     for c, v in viols.items():
         # no 4-set lexicographically before v may violate

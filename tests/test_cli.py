@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import resource
@@ -12,6 +13,7 @@ import pytest
 from turanhg import algebra, construct, core, krawtchouk, search, shadow, stability
 from turanhg.cli import build_parser, run_cli
 
+from test_algebra import enumerate_one_factorizations
 from test_stability import _reference_improve_partition, perturbed_parity
 
 
@@ -26,6 +28,39 @@ def test_kraw_eval(capsys):
     assert code == 0
     assert out == "-2\n"
     assert out.strip() == str(krawtchouk.kraw_eval(2, 4, 2))
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="Python before 3.10.7 has no limit on int -> str digits",
+)
+
+
+@needs_digit_limit
+def test_integers_print_at_any_length(capsys):
+    # C(16000, 8000) has 4,815 digits, over Python's default 4,300-digit
+    # limit on int -> str; the CLI lifts it for its output only
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "kraw", "eval", "--m", "8000", "--n", "16000", "--x", "0")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{math.comb(16000, 8000)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (0, want, "")
+
+
+@needs_digit_limit
+def test_readers_keep_the_digit_limit(tmp_path, capsys):
+    # a 5,000-digit vertex count is refused as input, before anything runs
+    f = tmp_path / "big.hg"
+    f.write_text(f"turan-hg v1\nn={'9' * 5000} k=2\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "check", "free", "--file", str(f), "--r", "3")
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: `n=999") and "is not an integer assignment" in err
 
 
 def test_kraw_row(capsys):
@@ -123,7 +158,7 @@ def test_color_round_trip(tmp_path, capsys):
 
 
 def test_color_verify_failure_exit(tmp_path, capsys):
-    bad = algebra.enumerate_one_factorizations(6)[0]
+    bad = enumerate_one_factorizations(6)[0]
     f = tmp_path / "k6.col"
     f.write_text(algebra.write_coloring(bad))
     code, out, _ = run(capsys, "color", "verify", "--file", str(f))

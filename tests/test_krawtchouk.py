@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -30,6 +31,20 @@ def test_eval_matches_genfunc_small():
             row = kw.genfunc_row(n, x)
             for m in range(n + 1):
                 assert kw.kraw_eval(m, n, x) == row[m]
+
+
+def test_large_values_by_recurrence():
+    # the alternating sum took 3.5 s for this value and the expansion of
+    # (1 - z)^x (1 + z)^(n - x) 6.5 s for this row, on a 2-CPU VM
+    start = time.perf_counter()
+    kw.kraw_eval(4000, 8000, 2000)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    row = kw.genfunc_row(8000, 2666)
+    assert time.perf_counter() - start < 1
+    # the row sums to (1 - 1)^x (1 + 1)^(n - x) = 0
+    assert len(row) == 8001 and sum(row) == 0
+    assert kw.kraw_eval(8000, 16000, 0) == math.comb(16000, 8000)
 
 
 def test_eval_domain_errors():
@@ -148,7 +163,7 @@ def test_optimal_shift_value_is_max():
 
 def test_optimal_shift_scans_only_the_window():
     # n = 10^10 has 5 * 10^9 + 1 feasible shifts; the scan takes the
-    # O(sqrt(kn)) of them in the window and the endpoint
+    # O(sqrt(kn)) of them in the window
     start = time.perf_counter()
     r = kw.optimal_shift(10**10, 1)
     assert time.perf_counter() - start < 10

@@ -131,6 +131,7 @@ def _modules_after(argv: list[str] | None, cwd: Path) -> tuple[int | None, set[s
 _BASE = {"turanhg", "turanhg.cli"}
 _IMPORT_SETS = [
     (["kraw", "tstar", "--n", "9", "--k", "2"], 0, {"core", "construct", "krawtchouk"}),
+    (["kraw", "row", "--n", "4", "--x", "1"], 0, {"core", "construct", "krawtchouk"}),
     (["count", "b", "--n", "8", "--k", "2", "--two-t", "4"], 0, {"core", "construct"}),
     (
         ["count", "d", "--n", "8", "--k", "2", "--two-t", "4", "--side", "small"],
@@ -140,6 +141,7 @@ _IMPORT_SETS = [
     (["construct", "parity", "--n", "6", "--k", "1", "--two-t", "0"], 0, {"core", "construct"}),
     (["check", "free", "--file", "h.hg", "--r", "3"], 0, {"core", "freeness"}),
     (["color", "gen", "--p", "2"], 0, {"core", "algebra"}),
+    (["color", "group", "--file", "c.col"], 0, {"core", "algebra"}),
     (["shadow", "--file", "f.fam"], 0, {"core", "shadow"}),
     (
         ["stability", "census", "--file", "h.hg", "--partition", "p.txt"],
@@ -164,13 +166,14 @@ def test_cli_command_imports_only_what_it_runs(tmp_path, argv, exit_code, librar
     # command, the usage errors and --help included; only stability's
     # TupleCensus is a dataclass, so only its commands load dataclasses
     # (which imports inspect)
-    from turanhg import construct, core, shadow, stability
+    from turanhg import algebra, construct, core, shadow, stability
 
     h, part = construct.build_parity(6, 1, construct.Shift(0))
     (tmp_path / "h.hg").write_text(core.write_hypergraph(h))
     (tmp_path / "p.txt").write_text(stability.write_bipartition(part))
     fam = core.set_family(5, 2, list(core.enumerate_ksubsets(4, 2)))
     (tmp_path / "f.fam").write_text(shadow.write_family(fam))
+    (tmp_path / "c.col").write_text(algebra.write_coloring(algebra.generate_gf2_coloring(2)))
     want = _BASE | {f"turanhg.{name}" for name in library}
     if "stability" in library:
         want |= {"dataclasses", "inspect"}
