@@ -79,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = kraw_sub.add_parser("tstar", help="edge-maximizing shifts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--one", action="store_true", help="print only the smallest 2t")
-    p.add_argument("--tsv", action="store_true")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--one", action="store_true", help="print only the smallest 2t")
+    form.add_argument("--tsv", action="store_true")
 
     cons = sub.add_parser("construct", help="build hypergraphs")
     cons_sub = cons.add_subparsers(dest="subcommand", required=True)

@@ -88,18 +88,6 @@ def _balanced_sizes(n: int, s: int) -> list[int]:
     return [n // s + (1 if i < n % s else 0) for i in range(s)]
 
 
-def perfect_matchings(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of an even-size tuple, as tuples of pairs."""
-    if not elems:
-        yield ()
-        return
-    a = elems[0]
-    for i in range(1, len(elems)):
-        rest = elems[1:i] + elems[i + 1 :]
-        for tail in perfect_matchings(rest):
-            yield ((a, elems[i]),) + tail
-
-
 def _check_members(n: int, size: int, masks: Sequence[int], what: str) -> None:
     for m in masks:
         if m < 0:

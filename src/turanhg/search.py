@@ -1,17 +1,18 @@
 """Exact maximum edge counts for small ground sets, k = 2.
 
-A 4-uniform hypergraph contains an expanded triangle exactly when some
-6 of its vertices split into three disjoint pairs whose three pairwise
-unions are all edges.  Over a fixed ground set this turns the maximum
-edge count into a maximum independent set problem in a 3-uniform
-conflict system: items are the 4-subsets, and every 6-subset
-contributes one conflict triple per perfect matching of its six
-vertices (15 of them).
+The expanded triangle is three pairwise disjoint pairs P1, P2, P3 with
+the unions Pi | Pj as its edges, so a 4-uniform hypergraph contains one
+exactly when the three unions of some such pairs are all edges.  Over a
+fixed ground set this turns the maximum edge count into a maximum
+independent set problem in a 3-uniform conflict system: items are the
+4-subsets, and every triple of pairwise disjoint pairs contributes the
+conflict of its three unions.
 
 exact_turan solves that system by branch and bound over item bitsets:
 
-* the incumbent is seeded with the parity construction, which is known
-  conflict free;
+* the incumbent is seeded with the parity construction at the best
+  shift, which is known conflict free: the items that meet its first
+  part (the prefix 0 .. n/2+t-1) in an odd number of vertices;
 * conflict_triples lists the conflicts in increasing order of their
   item mask, and each item keeps the bitset of the conflicts that hold
   it, so a node reads conflict state with one AND per item rather than
@@ -47,8 +48,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .core import Hypergraph, _Record, enumerate_ksubsets, perfect_matchings
-from .construct import build_parity
+from .core import Hypergraph, _Record, enumerate_ksubsets
 from .krawtchouk import optimal_shift
 
 
@@ -60,32 +60,19 @@ class ConflictSystem(_Record):
 
 
 def conflict_triples(n: int) -> ConflictSystem:
-    """All conflict triples over 0..n-1, ordered by (t[2], t[1], t[0]).
-    Each (6-subset, perfect matching) pair gives a different triple."""
+    """All conflict triples over 0..n-1, ordered by (t[2], t[1], t[0]):
+    the three unions of each triple of pairwise disjoint pairs.  Each
+    such triple of pairs gives a different triple of items."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     items = tuple(enumerate_ksubsets(n, 4))
     index = {m: i for i, m in enumerate(items)}
     conflicts = []
-    for six in combinations(range(n), 6):
-        for pairs in perfect_matchings(six):
-            masks = [(1 << a) | (1 << b) for a, b in pairs]
-            triple = tuple(
-                sorted(
-                    index[masks[x] | masks[y]]
-                    for x, y in ((0, 1), (0, 2), (1, 2))
-                )
-            )
-            conflicts.append(triple)
+    for p, q, r in combinations(enumerate_ksubsets(n, 2), 3):
+        if not (p & q or p & r or q & r):
+            conflicts.append(tuple(sorted((index[p | q], index[p | r], index[q | r]))))
     conflicts.sort(key=lambda t: (t[2], t[1], t[0]))
     return ConflictSystem(n, items, tuple(conflicts))
-
-
-def lower_bound_construction(n: int) -> Hypergraph:
-    """The parity construction at the best shift (smallest maximizer)."""
-    report = optimal_shift(n, 2)
-    h, _ = build_parity(n, 2, report.maximizers[0])
-    return h
 
 
 class SearchResult(_Record):
@@ -129,15 +116,13 @@ def exact_turan(
             conf_of[it] |= 1 << ci
 
     # incumbent: the parity construction is conflict free
+    best_mask = 0
     if n >= 4:
-        seed_items = 0
-        idx = {m: i for i, m in enumerate(items)}
-        for e in lower_bound_construction(n).edges:
-            seed_items |= 1 << idx[e]
-        best_mask = seed_items
-        best_val = seed_items.bit_count()
-    else:
-        best_mask, best_val = 0, 0
+        first = (1 << optimal_shift(n, 2).maximizers[0].part_sizes(n)[0]) - 1
+        for i, m in enumerate(items):
+            if (m & first).bit_count() & 1:
+                best_mask |= 1 << i
+    best_val = best_mask.bit_count()
 
     tie_break = list(range(nitems))
     if seed is not None:

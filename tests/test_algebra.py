@@ -3,7 +3,18 @@ from itertools import combinations, product
 import pytest
 
 from turanhg import algebra as al
-from turanhg.core import perfect_matchings
+
+
+def perfect_matchings(elems: tuple[int, ...]):
+    """All perfect matchings of an even-size tuple, as tuples of pairs."""
+    if not elems:
+        yield ()
+        return
+    a = elems[0]
+    for i in range(1, len(elems)):
+        rest = elems[1:i] + elems[i + 1 :]
+        for tail in perfect_matchings(rest):
+            yield ((a, elems[i]),) + tail
 
 
 def enumerate_one_factorizations(s: int) -> list[al.EdgeColoring]:

@@ -79,6 +79,13 @@ def test_kraw_tstar(capsys):
     assert out == "two_t\tmax_edges\n3\t20\n5\t20\n"
 
 
+def test_kraw_tstar_one_and_tsv_is_a_usage_error(capsys):
+    # --tsv promises a header line, which the bare --one shift lacks
+    code, out, err = run(capsys, "kraw", "tstar", "--n", "2", "--k", "1", "--one", "--tsv")
+    assert (code, out) == (2, "")
+    assert "not allowed with argument --one" in err
+
+
 def test_count_b_and_d(capsys):
     code, out, _ = run(capsys, "count", "b", "--n", "8", "--k", "2", "--two-t", "4")
     assert (code, out) == (0, "40\n")

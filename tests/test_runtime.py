@@ -132,6 +132,7 @@ _BASE = {"turanhg", "turanhg.cli"}
 _IMPORT_SETS = [
     (["kraw", "tstar", "--n", "9", "--k", "2"], 0, {"core", "construct", "krawtchouk"}),
     (["kraw", "row", "--n", "4", "--x", "1"], 0, {"core", "construct", "krawtchouk"}),
+    (["kraw", "eval", "--m", "2", "--n", "4", "--x", "1"], 0, {"core", "construct", "krawtchouk"}),
     (["count", "b", "--n", "8", "--k", "2", "--two-t", "4"], 0, {"core", "construct"}),
     (
         ["count", "d", "--n", "8", "--k", "2", "--two-t", "4", "--side", "small"],
@@ -139,12 +140,25 @@ _IMPORT_SETS = [
         {"core", "construct"},
     ),
     (["construct", "parity", "--n", "6", "--k", "1", "--two-t", "0"], 0, {"core", "construct"}),
+    (["construct", "sidorenko", "--n", "8", "--k", "1", "--p", "2"], 0, {"core", "construct"}),
     (["check", "free", "--file", "h.hg", "--r", "3"], 0, {"core", "freeness"}),
+    (["check", "maximal", "--file", "h.hg", "--r", "3"], 0, {"core", "freeness"}),
     (["color", "gen", "--p", "2"], 0, {"core", "algebra"}),
+    (["color", "verify", "--file", "c.col"], 0, {"core", "algebra"}),
     (["color", "group", "--file", "c.col"], 0, {"core", "algebra"}),
     (["shadow", "--file", "f.fam"], 0, {"core", "shadow"}),
     (
         ["stability", "census", "--file", "h.hg", "--partition", "p.txt"],
+        0,
+        {"core", "construct", "freeness", "stability"},
+    ),
+    (
+        ["stability", "improve", "--file", "h.hg", "--partition", "p.txt"],
+        0,
+        {"core", "construct", "freeness", "stability"},
+    ),
+    (
+        ["stability", "simonovits", "--graph", "g.txt", "--s", "2"],
         0,
         {"core", "construct", "freeness", "stability"},
     ),
@@ -174,6 +188,7 @@ def test_cli_command_imports_only_what_it_runs(tmp_path, argv, exit_code, librar
     fam = core.set_family(5, 2, list(core.enumerate_ksubsets(4, 2)))
     (tmp_path / "f.fam").write_text(shadow.write_family(fam))
     (tmp_path / "c.col").write_text(algebra.write_coloring(algebra.generate_gf2_coloring(2)))
+    (tmp_path / "g.txt").write_text("turan-g v1\nn=4\ng 0 1\ng 1 2\ng 2 3\ng 0 3\n")
     want = _BASE | {f"turanhg.{name}" for name in library}
     if "stability" in library:
         want |= {"dataclasses", "inspect"}

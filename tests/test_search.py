@@ -4,9 +4,33 @@ from itertools import combinations
 import pytest
 
 from turanhg import search as sr
+from turanhg.construct import build_parity
 from turanhg.core import binom_exact, enumerate_ksubsets, mask_of
 from turanhg.freeness import find_expansion
 from turanhg.krawtchouk import optimal_shift
+
+from test_algebra import perfect_matchings
+
+
+def _reference_conflicts(n):
+    """Conflict triples by every perfect matching of every 6-subset: the
+    three pairwise unions of its pairs, sorted by (t[2], t[1], t[0])."""
+    index = {m: i for i, m in enumerate(enumerate_ksubsets(n, 4))}
+    conflicts = []
+    for six in combinations(range(n), 6):
+        for pairs in perfect_matchings(six):
+            masks = [mask_of(pair) for pair in pairs]
+            conflicts.append(tuple(sorted(
+                index[masks[x] | masks[y]] for x, y in ((0, 1), (0, 2), (1, 2))
+            )))
+    conflicts.sort(key=lambda t: (t[2], t[1], t[0]))
+    return tuple(conflicts)
+
+
+def _reference_incumbent(n):
+    """The parity construction at the smallest edge-maximizing shift."""
+    h, _ = build_parity(n, 2, optimal_shift(n, 2).maximizers[0])
+    return h
 
 
 def test_conflict_triples_n6():
@@ -50,12 +74,20 @@ def test_conflicts_are_exactly_expansion_copies():
         assert (t in conflicts) == has_copy
 
 
+def test_conflict_triples_match_matching_enumeration():
+    # pairwise disjoint pairs give the matchings' triples, order included
+    for n in range(11):
+        assert sr.conflict_triples(n).conflicts == _reference_conflicts(n)
+
+
 def test_lower_bound_construction():
-    for n in range(4, 12):
-        h = sr.lower_bound_construction(n)
-        rep = optimal_shift(n, 2)
-        assert h.edge_count == rep.max_edges
-        assert find_expansion(h, 3) is None
+    # a search cut at its first node returns its incumbent, the parity
+    # construction at the best shift
+    for n in range(4, 13):
+        r = sr.exact_turan(n, cap=n, max_nodes=0)
+        assert r.witness == _reference_incumbent(n)
+        assert r.value == optimal_shift(n, 2).max_edges
+        assert find_expansion(r.witness, 3) is None
 
 
 def brute_force_max(n):
@@ -152,20 +184,19 @@ def _reference_exact_turan(
     """
     if n > cap:
         raise ValueError(n)
-    system = sr.conflict_triples(n)
-    items = system.items
+    items = tuple(enumerate_ksubsets(n, 4))
     nitems = len(items)
     full = (1 << nitems) - 1
     conflict_masks = []
     item_conf = [[] for _ in range(nitems)]
-    for ci, (a, b, d) in enumerate(system.conflicts):
+    for ci, (a, b, d) in enumerate(_reference_conflicts(n)):
         conflict_masks.append((1 << a) | (1 << b) | (1 << d))
         for it in (a, b, d):
             item_conf[it].append(ci)
     best_mask, best_val = 0, 0
     if n >= 4:
         idx = {m: i for i, m in enumerate(items)}
-        for e in sr.lower_bound_construction(n).edges:
+        for e in _reference_incumbent(n).edges:
             best_mask |= 1 << idx[e]
         best_val = best_mask.bit_count()
     tie_break = list(range(nitems))
@@ -268,6 +299,24 @@ def test_exact_turan_root_cut_keeps_value(n, seed):
     value, _, proved, _ = _reference_exact_turan(n, seed=seed, keep_root_exclude=True)
     assert (value, proved) == (r.value, r.proof_of_optimality)
     assert proved
+
+
+_FROZEN_TREES = [
+    (n, seed, value, nodes)
+    for n, value, counts in (
+        (6, 10, (16, 14, 10, 12, 6)),
+        (7, 20, (194, 142, 158, 138, 118)),
+        (8, 40, (578, 420, 494, 540, 524)),
+    )
+    for seed, nodes in zip((None, 0, 1, 2, 12345), counts)
+] + [(9, None, 70, 13728)]
+
+
+@pytest.mark.parametrize("n, seed, value, nodes", _FROZEN_TREES)
+def test_exact_turan_frozen_trees(n, seed, value, nodes):
+    # node counts pin the search tree: branching, bound and visit order
+    r = sr.exact_turan(n, cap=n, seed=seed)
+    assert (r.value, r.nodes, r.proof_of_optimality) == (value, nodes, True)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 101])
