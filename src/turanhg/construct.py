@@ -5,31 +5,34 @@ The GF(2) construction labels vertices with vectors of GF(2)^p in
 Its edge density tends to (r - 2)/(r - 1) with r = 2^p + 1.  The parity
 construction is its p = 1 case: parts of sizes n/2 + t and n/2 - t
 labelled 0 and 1, so the edges are the 2k-subsets meeting both parts
-in an odd number of vertices.  Its counts have closed forms in terms of
-Krawtchouk polynomials:
+in an odd number of vertices.  As K_m^n(x) (see krawtchouk) counts the
+m-subsets meeting x fixed vertices evenly less those meeting them
+oddly, its counts are
 
     edges(n, t)        = (C(n, 2k)     - K_{2k}^n(n/2 + t)) / 2
     degree(n, t, side) = (C(n-1, 2k-1) + K_{2k-1}^{n-1}(size - 1)) / 2
 
-where `size` is the size of the addressed part.  The library's one
-count is the binomial sum for edges(n, t); the tests check it against
-these closed forms (and, for k = 2, against polynomial identities in n
-and t).  The other counts follow from two identities:
+where `size` is the size of the addressed part: an edge meets part 1
+oddly, and the rest of an edge at v meets the rest of v's part evenly.
+Both are read off the recurrence in m, the library's one route; the
+binomial sums over the part sizes are oracles in the tests.
 
-* degree(n, t, side) = edges(n, t) - edges(n - 1, t'), where t' has one
-  vertex fewer on that side, since deleting a vertex deletes its edges.
-* The XOR count is the sum over nonzero a in GF(2)^p of the parity
-  count for the bipartition by the parity of <a, label>, divided by
-  2^(p-1): a set with label XOR x meets the odd side oddly iff
-  <a, x> = 1, which holds for 2^(p-1) of the a when x != 0 and for none
-  when x = 0, whatever the block sizes.
+The XOR count is the sum over nonzero a in GF(2)^p of the parity count
+for the bipartition by the parity of <a, label>, divided by 2^(p-1): a
+set with label XOR x meets the odd side oddly iff <a, x> = 1, which
+holds for 2^(p-1) of the a when x != 0 and for none when x = 0,
+whatever the block sizes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import total_ordering
+from itertools import islice
 
-from .core import Hypergraph, _Record, _balanced_sizes, binom_exact, enumerate_ksubsets, mask_of
+from .core import (
+    Hypergraph, _Record, _balanced_sizes, _kraw_values, binom_exact, enumerate_ksubsets, mask_of
+)
 
 
 @total_ordering
@@ -147,14 +150,19 @@ def build_parity(n: int, k: int, shift: Shift) -> tuple[Hypergraph, Bipartition]
     return _labelled(k, [n1, n2]), Bipartition(n, (1,) * n1 + (2,) * n2)
 
 
+def _meeting(n: int, m: int, x: int, sign: int) -> int:
+    """(C(n, m) + sign * K_m^n(x)) / 2: the m-subsets of n vertices that
+    meet x fixed ones evenly (sign 1) or oddly (sign -1); 0 when m > n."""
+    if m > n:
+        return 0
+    return (binom_exact(n, m) + sign * next(islice(_kraw_values(n, x), m, None))) // 2
+
+
 def parity_edge_count(n: int, k: int, shift: Shift) -> int:
-    """Edge count of the parity construction, by its binomial sum."""
+    """Edge count of the parity construction, by its closed form."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    n1, n2 = shift.part_sizes(n)
-    return sum(
-        binom_exact(n1, i) * binom_exact(n2, 2 * k - i) for i in range(1, 2 * k, 2)
-    )
+    return _meeting(n, 2 * k, shift.part_sizes(n)[0], -1)
 
 
 def parity_degree(n: int, k: int, shift: Shift, side: str) -> int:
@@ -166,12 +174,12 @@ def parity_degree(n: int, k: int, shift: Shift, side: str) -> int:
     if side not in ("large", "small"):
         raise ValueError(f"side must be 'large' or 'small', got {side!r}")
     n1, n2 = shift.part_sizes(n)
-    own, other = (n1, n2) if side == "large" else (n2, n1)
+    own = n1 if side == "large" else n2
     if own == 0:
         raise ValueError(f"the {side} part is empty for n={n}, 2t={shift.two_t}")
-    return parity_edge_count(n, k, shift) - parity_edge_count(
-        n - 1, k, Shift(own - 1 - other)
-    )
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    return _meeting(n - 1, 2 * k - 1, own - 1, 1)
 
 
 def _check_blocks(n: int, p: int, allow_remainder: bool) -> None:
@@ -225,12 +233,12 @@ def sidorenko_edge_count(
     of parity counts (see the module docstring).  The first n mod 2^p
     blocks hold one vertex more, so the odd side of a has
     (n >> p) * 2^(p-1) vertices plus those of the larger blocks w with
-    <a, w> odd."""
+    <a, w> odd; the a with equal odd sides share one count."""
     _check_blocks(n, p, allow_remainder)
     rem = n & ((1 << p) - 1)
     base = (n >> p) << (p - 1)
+    odd_sides = Counter(base + _odd_below(a, rem) for a in range(1, 1 << p))
     total = sum(
-        parity_edge_count(n, k, Shift(2 * (base + _odd_below(a, rem)) - n))
-        for a in range(1, 1 << p)
+        times * parity_edge_count(n, k, Shift(2 * odd - n)) for odd, times in odd_sides.items()
     )
     return total >> (p - 1)

@@ -44,6 +44,14 @@ class FormatError(ValueError):
 binom_exact = math.comb
 
 
+def _kraw_values(n: int, x: int) -> Iterator[int]:
+    """K_0^n(x), ..., K_n^n(x) by the recurrence in m (see krawtchouk)."""
+    prev, cur = 0, 1
+    for m in range(n + 1):
+        yield cur
+        prev, cur = cur, ((n - 2 * x) * cur - (n - m + 1) * prev) // (m + 1)
+
+
 def binom_real(x: float, k: int) -> float:
     """Real-argument binomial x(x-1)...(x-k+1) / k! as a float."""
     if k < 0:

@@ -31,7 +31,19 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import combinations
 
-from .core import Hypergraph, _Record, enumerate_ksubsets, indices_of, mask_of
+from .core import Hypergraph, _Record, binom_exact, enumerate_ksubsets, indices_of, mask_of
+
+# auxiliary_graph refuses a larger graph before it builds a vertex: the
+# adjacency alone takes MAX_AUX_VERTICES^2 / 8 bytes, 32 MiB, and the
+# neighbour lists some 70 bytes an edge; is_maximal_free a longer scan
+MAX_AUX_VERTICES = 1 << 14
+MAX_AUX_EDGES = 1 << 22
+MAX_MAXIMAL_SCAN = 1 << 24
+
+
+def _check_size(count: int, what: str, limit: int, where: str = "auxiliary graph built") -> None:
+    if count > limit:
+        raise ValueError(f"{count} {what} exceed the largest {where}, {limit}")
 
 
 class AuxGraph(_Record):
@@ -69,9 +81,11 @@ def auxiliary_graph(h: Hypergraph) -> AuxGraph:
     covered = 0
     for e in h.edges:
         covered |= e
+    _check_size(binom_exact(covered.bit_count(), k), "auxiliary vertices", MAX_AUX_VERTICES)
+    _check_size(binom_exact(2 * k, k) // 2 * len(h.edges), "auxiliary edges", MAX_AUX_EDGES)
     subsets = tuple(map(mask_of, combinations(indices_of(covered), k)))
     index = {s: i for i, s in enumerate(subsets)}
-    patterns = _split_patterns(k)
+    patterns = _split_patterns(k) if h.edges else []
     nbrs: list[list[int]] = [[] for _ in subsets]
     for e in h.edges:
         # _splits inlined: this loop is most of a freeness call
@@ -256,6 +270,7 @@ def is_maximal_free(h: Hypergraph, r: int) -> bool:
         covered |= p
     if covered.bit_count() < h.n:
         return r == 2 or h.n < 2 * h.k
+    _check_size(binom_exact(h.n, 2 * h.k), "candidate edges", MAX_MAXIMAL_SCAN, "maximality scan")
     index = {s: i for i, s in enumerate(g.subsets)}
     adj = g.adj
     patterns = _split_patterns(h.k)

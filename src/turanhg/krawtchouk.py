@@ -3,41 +3,34 @@
 K_m^n(x), the degree-m binary Krawtchouk polynomial, is the coefficient
 of z^m in G(z) = (1 - z)^x (1 + z)^(n-x), or sum_i (-1)^i C(x, i)
 C(n - x, m - i).  As (1 - z^2) G' = (n - 2x - nz) G, the values obey
-the three-term recurrence (MacWilliams and Sloane, ch. 5)
+the first of the three-term recurrences (MacWilliams and Sloane, ch. 5)
 
     (m + 1) K_{m+1}(x) = (n - 2x) K_m(x) - (n - m + 1) K_{m-1}(x)
+    (n - x) K_m(x + 1) = (n - 2m) K_m(x) - x K_m(x - 1)
 
-from K_{-1} = 0 and K_0 = 1, every division exact: the library's one
-route to them.  The sum and the expansion are oracles in the tests.
+and the second follows by C(n, x) K_m(x) = C(n, m) K_x(m); every
+division is exact.  The first, from K_{-1} = 0 and K_0 = 1, is the
+library's one route to the values (core._kraw_values); the sum and the
+expansion are oracles in the tests.
 
-Shifts:  a bipartition of 0..n-1 into parts of sizes n/2 + t and
-n/2 - t is encoded by the integer 2t (construct.Shift), so t may be a
-half-integer when n is odd.  The parity construction on it has
-
-    (C(n, 2k) - K_{2k}^n(n/2 + t)) / 2
-
-edges, so maximizing that count means minimizing K_{2k}^n over
-feasible arguments.  K_m^n(x) cannot vanish when (2x - n)^2 > 4mn, and
-its minimizers lie in that window, which keeps the scan short;
-optimal_shift scores each candidate with construct.parity_edge_count.
+The parity construction on the shift 2t (construct.Shift) has
+(C(n, 2k) - K_{2k}^n(n/2 + t)) / 2 edges, so optimal_shift minimizes
+K_{2k}^n(x) over x = n/2 + t.  K_m^n(x) cannot vanish when
+(2x - n)^2 > 4mn, and its minimizers lie in that window, which keeps
+the scan short: K at its first two arguments comes from the first
+recurrence, and the second walks the rest.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from itertools import islice
 
-from .construct import Shift, parity_edge_count
-from .core import _Record
+from .construct import Shift
+from .core import _Record, _kraw_values, binom_exact
 
-
-def _kraw_values(n: int, x: int) -> Iterator[int]:
-    """K_0^n(x), K_1^n(x), ..., K_n^n(x) by the three-term recurrence."""
-    prev, cur = 0, 1
-    for m in range(n + 1):
-        yield cur
-        prev, cur = cur, ((n - 2 * x) * cur - (n - m + 1) * prev) // (m + 1)
+# genfunc_row refuses longer rows, of (n + 1) * n bits, as |K_m^n| < 2^n
+MAX_ROW_BITS = 1 << 28
 
 
 def kraw_eval(m: int, n: int, x: int) -> int:
@@ -53,6 +46,11 @@ def genfunc_row(n: int, x: int) -> list[int]:
     """K_m^n(x) for m = 0..n: the coefficients of (1 - z)^x (1 + z)^(n-x)."""
     if not 0 <= x <= n:
         raise ValueError(f"need 0 <= x <= n, got x={x} n={n}")
+    if (n + 1) * n > MAX_ROW_BITS:
+        raise ValueError(
+            f"n={n} gives a row of up to {(n + 1) * n} bits, more than the largest row built, "
+            f"{MAX_ROW_BITS}"
+        )
     return list(_kraw_values(n, x))
 
 
@@ -71,13 +69,18 @@ def optimal_shift(n: int, k: int) -> OptimalShiftReport:
     """
     if k < 1 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 2, got n={n} k={k}")
-    best = -1
-    winners: list[int] = []
-    # feasible 2t run from n % 2 in steps of 2; (2t)^2 <= 8kn caps them
-    for tt in range(n % 2, min(n, math.isqrt(8 * k * n)) + 1, 2):
-        b = parity_edge_count(n, k, Shift(tt))
-        if b > best:
-            best, winners = b, [tt]
-        elif b == best:
-            winners.append(tt)
-    return OptimalShiftReport(n, k, best, tuple(Shift(tt) for tt in winners))
+    m = 2 * k
+    # feasible 2t run from n % 2 in steps of 2, so x = n/2 + t runs from
+    # ceil(n/2) in steps of 1; (2t)^2 <= 8kn caps them
+    first, last = (n + 1) // 2, (n + min(n, math.isqrt(8 * k * n))) // 2
+    prev, cur = kraw_eval(m, n, first - 1), kraw_eval(m, n, first)
+    least, winners = cur, [first]
+    for x in range(first, last):
+        prev, cur = cur, ((n - 2 * m) * cur - x * prev) // (n - x)
+        if cur < least:
+            least, winners = cur, [x + 1]
+        elif cur == least:
+            winners.append(x + 1)
+    return OptimalShiftReport(
+        n, k, (binom_exact(n, m) - least) // 2, tuple(Shift(2 * x - n) for x in winners)
+    )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from turanhg import algebra, construct, core, krawtchouk, search, shadow, stability
+from turanhg import algebra, construct, core, freeness, krawtchouk, search, shadow, stability
 from turanhg.cli import build_parser, run_cli
 
 from test_algebra import enumerate_one_factorizations
@@ -426,6 +426,63 @@ def test_simonovits_on_an_oversized_graph_header_exits_2(tmp_path):
     assert proc.stderr == (
         "error: line 2: n=1000000000 exceeds the largest graph order read, 16384\n"
     )
+
+
+def test_oversized_kraw_row_exits_2():
+    # each |K_m^n| < 2^n, so this row could take 5 GB
+    proc = run_in_1_gib("kraw", "row", "--n", "200000", "--x", "0")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: n=200000 gives a row of up to 40000200000 bits, more than the largest row "
+        f"built, {krawtchouk.MAX_ROW_BITS}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, code, out",
+    [("free", 0, "free\n"), ("maximal", 1, "not-maximal\n")],
+    ids=["free", "maximal"],
+)
+def test_check_on_an_empty_header_lists_no_splits(tmp_path, command, code, out):
+    # with no edge to split, the C(39, 19) split patterns of k = 20 are
+    # never listed
+    path = tmp_path / "empty.hg"
+    path.write_text("turan-hg v1\nn=40 k=20\n")
+    proc = run_in_1_gib("check", command, "--file", str(path), "--r", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+# one edge on 40 vertices at k = 20: C(40, 20) auxiliary vertices
+ONE_WIDE_EDGE = core.hypergraph(40, 20, [(1 << 40) - 1])
+# 46 edges cover 181 vertices and hold no copy at r = 3, so maximality
+# needs a scan of C(181, 4) candidates
+COVERED_181 = core.hypergraph(181, 2, [0b1111 << 4 * i for i in range(45)] + [0b1111 << 177])
+TOO_MANY_VERTICES = (
+    "137846528820 auxiliary vertices exceed the largest auxiliary graph built, "
+    f"{freeness.MAX_AUX_VERTICES}"
+)
+
+
+@pytest.mark.parametrize(
+    "command, h, message",
+    [
+        ("free", ONE_WIDE_EDGE, TOO_MANY_VERTICES),
+        ("maximal", ONE_WIDE_EDGE, TOO_MANY_VERTICES),
+        (
+            "maximal",
+            COVERED_181,
+            "43252665 candidate edges exceed the largest maximality scan, "
+            f"{freeness.MAX_MAXIMAL_SCAN}",
+        ),
+    ],
+    ids=["free-wide-edge", "maximal-wide-edge", "maximal-scan"],
+)
+def test_oversized_check_exits_2(tmp_path, command, h, message):
+    # refused from the counts, before the auxiliary graph or the scan
+    path = tmp_path / "h.hg"
+    path.write_text(core.write_hypergraph(h))
+    proc = run_in_1_gib("check", command, "--file", str(path), "--r", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def _readme_commands():

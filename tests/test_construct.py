@@ -6,7 +6,18 @@ import pytest
 
 from turanhg import construct as cn
 from turanhg.core import binom_exact, enumerate_ksubsets, vertex_degrees
-from turanhg.krawtchouk import Shift, kraw_eval, optimal_shift
+from turanhg.krawtchouk import Shift, optimal_shift
+
+
+def parity_edges_by_sum(n1, n2, k):
+    """Oracle: the 2k-subsets taking an odd number i from the part of n1."""
+    return sum(binom_exact(n1, i) * binom_exact(n2, 2 * k - i) for i in range(1, 2 * k, 2))
+
+
+def parity_degree_by_sum(n1, n2, k, side):
+    """Oracle: deleting a vertex of the addressed part deletes its edges."""
+    own, other = (n1, n2) if side == "large" else (n2, n1)
+    return parity_edges_by_sum(own, other, k) - parity_edges_by_sum(own - 1, other, k)
 
 
 def brute_parity_edges(n, k, two_t):
@@ -87,20 +98,19 @@ def test_parity_degree_matches_enumeration():
 
 
 def test_parity_counts_match_closed_forms():
-    # the Krawtchouk closed forms of the module docstring, and for k = 2
-    # the quartic b and the cubic degree in n and t
+    # the Krawtchouk closed forms of the module docstring against the
+    # binomial sums over the part sizes, and for k = 2 the quartic b and
+    # the cubic degree in n and t
     for k in (1, 2, 3, 4):
         for n in range(2 * k, 61):
             for two_t in range(-n, n + 1, 2):
                 sh = Shift(two_t)
                 n1, n2 = sh.part_sizes(n)
-                b = cn.parity_edge_count(n, k, sh)
-                assert 2 * b == binom_exact(n, 2 * k) - kraw_eval(2 * k, n, n1)
+                assert cn.parity_edge_count(n, k, sh) == parity_edges_by_sum(n1, n2, k)
                 for side, own in (("large", n1), ("small", n2)):
                     if own:
                         d = cn.parity_degree(n, k, sh, side)
-                        kr = kraw_eval(2 * k - 1, n - 1, own - 1)
-                        assert 2 * d == binom_exact(n - 1, 2 * k - 1) + kr
+                        assert d == parity_degree_by_sum(n1, n2, k, side)
     for n in range(4, 201):
         for two_t in range(-n, n + 1, 2):
             sh = Shift(two_t)
@@ -111,6 +121,17 @@ def test_parity_counts_match_closed_forms():
                 if own:
                     d = cn.parity_degree(n, 2, sh, side)
                     assert d == other * binom_exact(own - 1, 2) + binom_exact(other, 3)
+    # a large k: 400 recurrence steps per count
+    start = time.perf_counter()
+    for two_t in (-2000, -600, 0, 2, 64, 1998):
+        sh = Shift(two_t)
+        n1, n2 = sh.part_sizes(2000)
+        assert cn.parity_edge_count(2000, 200, sh) == parity_edges_by_sum(n1, n2, 200)
+        for side, own in (("large", n1), ("small", n2)):
+            if own:
+                d = cn.parity_degree(2000, 200, sh, side)
+                assert d == parity_degree_by_sum(n1, n2, 200, side)
+    assert time.perf_counter() - start < 1
 
 
 def test_parity_degree_empty_side_raises():
@@ -195,6 +216,22 @@ def test_sidorenko_edge_count_with_remainder_at_large_p():
         got = cn.sidorenko_edge_count(n, 1, p, allow_remainder=True)
         assert time.perf_counter() - t0 < 5
         assert got == binom_exact(n, 2) - sum(binom_exact(s, 2) for s in sizes)
+
+
+def test_sidorenko_edge_count_counts_each_odd_side_once(monkeypatch):
+    # the a with equal odd sides share one parity count: with 2^p | n all
+    # 2^20 - 1 of them do, and the refusal of this construction took one
+    # count per a
+    calls = []
+    count = cn.parity_edge_count
+    monkeypatch.setattr(cn, "parity_edge_count", lambda *args: calls.append(args) or count(*args))
+    assert cn.sidorenko_edge_count(2**20, 1, 20) == binom_exact(2**20, 2)
+    assert len(calls) == 1
+    calls.clear()
+    sizes = [1000 // 32 + (w < 1000 % 32) for w in range(32)]
+    got = cn.sidorenko_edge_count(1000, 1, 5, allow_remainder=True)
+    assert got == binom_exact(1000, 2) - sum(binom_exact(s, 2) for s in sizes)
+    assert 1 < len(calls) == len(set(calls)) < 31
 
 
 def test_sidorenko_needs_a_vertex_per_label():

@@ -217,6 +217,38 @@ def test_is_maximal_free_on_uncovered_vertices():
     assert fr.is_maximal_free(hypergraph(3, 2, []), 3)
 
 
+AUX = "auxiliary graph built"
+
+
+@pytest.mark.parametrize(
+    "name, count, what, where, call",
+    [
+        ("MAX_AUX_VERTICES", 28, "auxiliary vertices", AUX, fr.auxiliary_graph),
+        ("MAX_AUX_EDGES", 120, "auxiliary edges", AUX, fr.auxiliary_graph),
+        (
+            "MAX_MAXIMAL_SCAN",
+            70,
+            "candidate edges",
+            "maximality scan",
+            lambda h: fr.is_maximal_free(h, 3),
+        ),
+    ],
+    ids=["vertices", "edges", "maximal-scan"],
+)
+def test_size_limits_are_exact(name, count, what, where, call, monkeypatch):
+    # the parity construction on 6 + 2 vertices covers all 8: C(8, 2)
+    # auxiliary vertices, C(4, 2) / 2 * 40 auxiliary edges and C(8, 4)
+    # candidates for maximality; a limit of exactly that size is met, one
+    # less is refused
+    h, _ = build_parity(8, 2, Shift(4))
+    monkeypatch.setattr(fr, name, count)
+    call(h)
+    monkeypatch.setattr(fr, name, count - 1)
+    with pytest.raises(ValueError) as err:
+        call(h)
+    assert str(err.value) == f"{count} {what} exceed the largest {where}, {count - 1}"
+
+
 def test_auxiliary_graph_edge_identity():
     h, _ = build_parity(8, 2, Shift(4))
     g = fr.auxiliary_graph(h)

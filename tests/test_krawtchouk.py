@@ -47,6 +47,19 @@ def test_large_values_by_recurrence():
     assert kw.kraw_eval(8000, 16000, 0) == math.comb(16000, 8000)
 
 
+def test_row_limit_is_exact(monkeypatch):
+    # a row of exactly the limit's (n + 1) * n bits is built, one bit less
+    # is refused
+    monkeypatch.setattr(kw, "MAX_ROW_BITS", 20)
+    assert kw.genfunc_row(4, 1) == KNOWN_N4[1]
+    monkeypatch.setattr(kw, "MAX_ROW_BITS", 19)
+    with pytest.raises(ValueError) as err:
+        kw.genfunc_row(4, 1)
+    assert str(err.value) == (
+        "n=4 gives a row of up to 20 bits, more than the largest row built, 19"
+    )
+
+
 def test_eval_domain_errors():
     with pytest.raises(ValueError):
         kw.kraw_eval(-1, 4, 2)
@@ -126,9 +139,10 @@ def _scan_every_shift(n, k):
 
 
 def test_optimal_shift_matches_full_scan():
-    # the Levenshtein window loses no maximizer of the full sweep
+    # the Levenshtein window loses no maximizer of the full sweep, and
+    # the walk in x gives the values of the recurrence in m
     for k in range(1, 6):
-        for n in range(2 * k, 121):
+        for n in range(2 * k, 400):
             counts = _scan_every_shift(n, k)
             best = max(counts.values())
             rep = kw.optimal_shift(n, k)

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from turanhg.core import binom_exact
 from turanhg.search import exact_turan
+
+from test_construct import parity_edges_by_sum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,9 +40,18 @@ def test_exact_turan_table():
 
 
 def test_tstar_scan():
-    header, *rows = run_script("tstar_scan.py", "--k", "2", "--n-max", "20")
+    # every row against a scan of every feasible shift by the binomial sum
+    header, *rows = run_script("tstar_scan.py", "--k", "2", "--n-max", "60")
     assert header == "n\ttwo_t\tmax_edges\thalf_deficit"
-    assert rows and all(len(row.split("\t")) == 4 for row in rows)
+    want = []
+    for n in range(4, 61):
+        counts = {
+            tt: parity_edges_by_sum((n + tt) // 2, (n - tt) // 2, 2) for tt in range(-n, n + 1, 2)
+        }
+        best = max(counts.values())
+        shifts = ",".join(str(tt) for tt, b in counts.items() if b == best and tt >= 0)
+        want.append(f"{n}\t{shifts}\t{best}\t{binom_exact(n, 4) - 2 * best}")
+    assert rows == want
 
 
 def test_sidorenko_density():
