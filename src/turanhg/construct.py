@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import total_ordering
-from itertools import islice
 
 from .core import (
-    Hypergraph, _Record, _balanced_sizes, _kraw_values, binom_exact, enumerate_ksubsets, mask_of
+    Hypergraph, _Record, _balanced_sizes, _kraw_value, binom_exact, enumerate_ksubsets, mask_of
 )
 
 
@@ -155,7 +154,7 @@ def _meeting(n: int, m: int, x: int, sign: int) -> int:
     meet x fixed ones evenly (sign 1) or oddly (sign -1); 0 when m > n."""
     if m > n:
         return 0
-    return (binom_exact(n, m) + sign * next(islice(_kraw_values(n, x), m, None))) // 2
+    return (binom_exact(n, m) + sign * _kraw_value(m, n, x)) // 2
 
 
 def parity_edge_count(n: int, k: int, shift: Shift) -> int:

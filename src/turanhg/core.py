@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import combinations
+from itertools import combinations, islice
 
 
 class FormatError(ValueError):
@@ -50,6 +50,27 @@ def _kraw_values(n: int, x: int) -> Iterator[int]:
     for m in range(n + 1):
         yield cur
         prev, cur = cur, ((n - 2 * x) * cur - (n - m + 1) * prev) // (m + 1)
+
+
+# _kraw_value refuses a value whose recurrence takes more bit-steps: m
+# steps on integers of at most min(n, m * (bitlen(n // m) + 2)) bits, as
+# |K_j^n(x)| <= C(n, j) <= min(2^n, (e n / m)^m) for j <= m <= n / 2, and
+# above n / 2 the second term exceeds n.  On a 2-CPU VM (Intel Xeon) the
+# bit-steps ran at 0.08-0.38 ns each, so this many take about 0.4-1.6 s.
+MAX_KRAW_BIT_STEPS = 1 << 32
+
+
+def _kraw_value(m: int, n: int, x: int) -> int:
+    """K_m^n(x) for 0 <= m <= n, entry m of _kraw_values, refused above
+    MAX_KRAW_BIT_STEPS."""
+    if m * n > MAX_KRAW_BIT_STEPS:  # m * n bounds the steps below, and is cheaper
+        steps = m * min(n, m * ((n // m).bit_length() + 2))
+        if steps > MAX_KRAW_BIT_STEPS:
+            raise ValueError(
+                f"K_{m}^{n} takes up to {steps} bit-steps, more than the most spent on one "
+                f"Krawtchouk value, {MAX_KRAW_BIT_STEPS}"
+            )
+    return next(islice(_kraw_values(n, x), m, None))
 
 
 def binom_real(x: float, k: int) -> float:
@@ -158,7 +179,15 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__qualname__}")
 
 
-class Hypergraph(_Record):
+class _KeepsRows:
+    """A slot for incidence_rows to keep its transpose in.  It is not a
+    field: a record's fields are its own class's `__slots__`, so it is
+    never compared, hashed, printed, copied or pickled."""
+
+    __slots__ = ("_rows",)
+
+
+class Hypergraph(_Record, _KeepsRows):
     """A 2k-uniform hypergraph on vertices 0..n-1.
 
     `edges` holds one bitmask per edge, sorted ascending, no duplicates.
@@ -218,8 +247,19 @@ _TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x0000000
 
 
 def incidence_rows(h: Hypergraph) -> list[int]:
-    """Per-vertex bitsets over edge indices: bit i of row v is set iff v is in edges[i]."""
-    return _transpose(h.edges, h.n)
+    """Per-vertex bitsets over edge indices: bit i of row v is set iff v is in edges[i].
+
+    The transpose is taken on the first call for h and kept with it, as
+    a tuple in a slot that is not a field, so it lives as long as h and
+    later calls cost one list copy.  The rows depend only on n and the
+    edges, which never change.  The returned list is the caller's own.
+    """
+    try:
+        rows = h._rows
+    except AttributeError:
+        rows = tuple(_transpose(h.edges, h.n))
+        object.__setattr__(h, "_rows", rows)
+    return list(rows)
 
 
 def _transpose(words: Sequence[int], n: int) -> list[int]:

@@ -11,7 +11,9 @@ the first of the three-term recurrences (MacWilliams and Sloane, ch. 5)
 and the second follows by C(n, x) K_m(x) = C(n, m) K_x(m); every
 division is exact.  The first, from K_{-1} = 0 and K_0 = 1, is the
 library's one route to the values (core._kraw_values); the sum and the
-expansion are oracles in the tests.
+expansion are oracles in the tests.  One value takes m steps on
+integers of up to min(n, m (bitlen(n // m) + 2)) bits, and is refused
+above core.MAX_KRAW_BIT_STEPS of them.
 
 The parity construction on the shift 2t (construct.Shift) has
 (C(n, 2k) - K_{2k}^n(n/2 + t)) / 2 edges, so optimal_shift minimizes
@@ -24,22 +26,21 @@ recurrence, and the second walks the rest.
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 from .construct import Shift
-from .core import _Record, _kraw_values, binom_exact
+from .core import _Record, _kraw_value, _kraw_values, binom_exact
 
 # genfunc_row refuses longer rows, of (n + 1) * n bits, as |K_m^n| < 2^n
 MAX_ROW_BITS = 1 << 28
 
 
 def kraw_eval(m: int, n: int, x: int) -> int:
-    """K_m^n(x), exact."""
+    """K_m^n(x), exact; refused above core.MAX_KRAW_BIT_STEPS."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m} n={n}")
     if not 0 <= x <= n:
         raise ValueError(f"need 0 <= x <= n, got x={x} n={n}")
-    return next(islice(_kraw_values(n, x), m, None))
+    return _kraw_value(m, n, x)
 
 
 def genfunc_row(n: int, x: int) -> list[int]:

@@ -5,7 +5,9 @@ is "good" when it meets both parts in an odd number of vertices and
 "bad" otherwise; a perfect parity construction has every edge good and
 every good tuple present.  classify_tuples and improve_partition work
 on one bitset per vertex over the edge indices, its incidence row
-(core.incidence_rows).  The XOR of the part-1 rows, odd, has a bit set
+(core.incidence_rows).  The rows are transposed once per hypergraph and
+kept with it, so a census after a search, or many searches from other
+starts, reuse them.  The XOR of the part-1 rows, odd, has a bit set
 exactly at the good edges, so the bad edges number edge_count minus its
 popcount; _odd_and_bad is that one formula, and both call it.
 classify_tuples takes the full census from counts: the good tuples

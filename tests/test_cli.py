@@ -438,6 +438,43 @@ def test_oversized_kraw_row_exits_2():
     )
 
 
+TWO_TO_20 = ["--n", "1048576"]
+
+
+@pytest.mark.parametrize(
+    "argv, m, n",
+    [
+        (["kraw", "eval", "--m", "524288", *TWO_TO_20, "--x", "0"], 1 << 19, 1 << 20),
+        (["kraw", "tstar", *TWO_TO_20, "--k", "262144"], 1 << 19, 1 << 20),
+        (["count", "b", *TWO_TO_20, "--k", "524288", "--two-t", "0"], 1 << 20, 1 << 20),
+        (
+            ["count", "d", *TWO_TO_20, "--k", "524288", "--two-t", "0", "--side", "large"],
+            (1 << 20) - 1,
+            (1 << 20) - 1,
+        ),
+        (
+            ["construct", "sidorenko", *TWO_TO_20, "--k", "524288", "--p", "20",
+             "--allow-remainder"],
+            1 << 20,
+            1 << 20,
+        ),
+    ],
+    ids=["kraw-eval", "kraw-tstar", "count-b", "count-d", "construct-sidorenko"],
+)
+def test_oversized_krawtchouk_value_exits_2(argv, m, n):
+    # each needs K_m^n with m near n = 2^20, minutes of recurrence steps:
+    # refused from the sizes alone; above n / 2 each step is costed at n bits
+    steps = m * n
+    start = time.perf_counter()
+    proc = run_in_1_gib(*argv)
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: K_{m}^{n} takes up to {steps} bit-steps, more than the most spent on one "
+        f"Krawtchouk value, {core.MAX_KRAW_BIT_STEPS}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, code, out",
     [("free", 0, "free\n"), ("maximal", 1, "not-maximal\n")],

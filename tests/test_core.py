@@ -154,6 +154,59 @@ def test_incidence_rows_partial_blocks_brute_force(n, m):
     assert core.vertex_degrees(h) == [sum(1 for e in h.edges if e >> v & 1) for v in range(n)]
 
 
+def _count_transposes(monkeypatch):
+    """The list that gets one entry per core._transpose call from now on."""
+    calls = []
+
+    def spy(words, n):
+        calls.append(n)
+        return real(words, n)
+
+    real = core._transpose
+    monkeypatch.setattr(core, "_transpose", spy)
+    return calls
+
+
+def test_taken_rows_change_nothing_a_field_shows():
+    edges = [0b1111, 0b110011, 0b111100]
+    taken, fresh = core.hypergraph(6, 2, edges), core.hypergraph(6, 2, edges)
+    core.incidence_rows(taken)
+    assert taken == fresh and fresh == taken
+    assert hash(taken) == hash(fresh)
+    assert repr(taken) == repr(fresh) == "Hypergraph(n=6, k=2, edges=(15, 51, 60))"
+    assert pickle.dumps(taken) == pickle.dumps(fresh)
+    assert taken.__reduce__() == fresh.__reduce__()
+    assert not hasattr(taken, "__dict__")
+    with pytest.raises(AttributeError):
+        taken._rows = ()
+
+
+def test_copies_take_their_own_rows(monkeypatch):
+    calls = _count_transposes(monkeypatch)
+    h = core.hypergraph(7, 2, [0b1111, 0b1111000, 0b1010101])
+    want = _brute_incidence_rows(h)
+    assert core.incidence_rows(h) == core.incidence_rows(h) == want
+    assert len(calls) == 1
+    # copy, deepcopy and pickle rebuild from the fields alone
+    for other in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert other == h and other is not h
+        before = len(calls)
+        assert core.incidence_rows(other) == core.incidence_rows(other) == want
+        assert len(calls) == before + 1
+
+
+def test_returned_rows_belong_to_the_caller():
+    rng = random.Random(5)
+    h = core.hypergraph(9, 2, {core.mask_of(rng.sample(range(9), 4)) for _ in range(40)})
+    rows = core.incidence_rows(h)
+    rows[0] ^= 1
+    rows[3] = 0
+    rows.append(7)
+    del rows[1]
+    assert core.incidence_rows(h) == _brute_incidence_rows(h)
+    assert core.vertex_degrees(h) == [sum(1 for e in h.edges if e >> v & 1) for v in range(9)]
+
+
 hg_strategy = st.integers(2, 4).flatmap(
     lambda k: st.integers(2 * k, 2 * k + 6).flatmap(
         lambda n: st.builds(

@@ -4,8 +4,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from turanhg import krawtchouk as kw
-from turanhg.construct import Shift
+from turanhg import core, krawtchouk as kw
+from turanhg.construct import Shift, parity_edge_count
 from turanhg.core import binom_exact
 
 
@@ -58,6 +58,37 @@ def test_row_limit_is_exact(monkeypatch):
     assert str(err.value) == (
         "n=4 gives a row of up to 20 bits, more than the largest row built, 19"
     )
+
+
+def test_value_limit_is_exact(monkeypatch):
+    # K_2^4 takes 2 steps of up to min(4, 2 * (bitlen(2) + 2)) = 4 bits: at
+    # a limit of 8 bit-steps each route to it answers, at 7 each refuses
+    monkeypatch.setattr(core, "MAX_KRAW_BIT_STEPS", 8)
+    assert kw.kraw_eval(2, 4, 2) == -2
+    assert parity_edge_count(4, 1, Shift(0)) == 4
+    assert kw.optimal_shift(4, 1).max_edges == 4
+    monkeypatch.setattr(core, "MAX_KRAW_BIT_STEPS", 7)
+    message = "K_2^4 takes up to 8 bit-steps, more than the most spent on one Krawtchouk value, 7"
+    for call in (
+        lambda: kw.kraw_eval(2, 4, 2),
+        lambda: parity_edge_count(4, 1, Shift(0)),
+        lambda: kw.optimal_shift(4, 1),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_value_limit_bounds_every_step():
+    # the cost counts each of the m steps at min(n, m * (bitlen(n // m) + 2))
+    # bits; no value on the way to K_m^n(x) is longer
+    for n in range(1, 48):
+        for x in range(n + 1):
+            longest = 0
+            for m, value in enumerate(kw.genfunc_row(n, x)):
+                longest = max(longest, value.bit_length())
+                if m:
+                    assert longest <= min(n, m * ((n // m).bit_length() + 2)), (n, x, m)
 
 
 def test_eval_domain_errors():

@@ -12,6 +12,8 @@ from turanhg.construct import build_parity
 from turanhg.core import binom_exact, enumerate_ksubsets, hypergraph, mask_of, write_hypergraph
 from turanhg.krawtchouk import Shift, optimal_shift
 
+from test_core import _brute_incidence_rows, _count_transposes
+
 
 def test_simple_graph_validation():
     g = stb.simple_graph(4, [(0, 1), (1, 2)])
@@ -371,6 +373,23 @@ def test_improve_partition_matches_reference_on_perturbed_parity(n):
     h = perturbed_parity(rng, n, 2)
     for start in _starts(rng, n, 4):
         _assert_matches_reference(h, start)
+
+
+def test_a_repair_job_transposes_once(monkeypatch):
+    # eight starts, a census of each result and the degrees: 17 transposes
+    # if every call took its own, one when the rows are kept with h
+    calls = _count_transposes(monkeypatch)
+    rng = random.Random(32)
+    h = perturbed_parity(rng, 16, 2)
+    rows = _brute_incidence_rows(h)
+    for start in _starts(rng, 16, 6):
+        trace = []
+        part = stb.improve_partition(h, start, trace=trace)
+        assert stb.classify_tuples(h, part) == brute_census(h, part)
+        assert stb.bad_edge_count(h, part) == trace[-1]
+    assert core.vertex_degrees(h) == [row.bit_count() for row in rows]
+    assert core.incidence_rows(h) == rows
+    assert calls == [16]
 
 
 def test_simonovits_turan_graphs():
