@@ -194,18 +194,24 @@ def _check_blocks(n: int, p: int, allow_remainder: bool) -> None:
         )
 
 
-def _odd_below(a: int, r: int) -> int:
-    """#{w < r : <a, w> odd}, one term per set bit i of r: the w that
-    agree with r above bit i, have bit i clear and are free below it."""
-    count = 0
-    for i in range(r.bit_length()):
-        if not r >> i & 1:
-            continue
-        if a & ((1 << i) - 1):
-            count += 1 << (i - 1)  # a low bit of a splits the free w evenly
-        elif (a & (r >> (i + 1) << (i + 1))).bit_count() & 1:
-            count += 1 << i
-    return count
+def _odd_sides(p: int, r: int) -> Counter:
+    """How many nonzero a < 2^p give each #{w < r : <a, w> odd}, r < 2^p.
+
+    Split the w < r at each set bit i of r into the 2^i that agree with
+    r above bit i, have bit i clear and are free below it.  Take a with
+    lowest set bit j.  For i > j the free bit j splits those w evenly:
+    2^(i-1) odd.  For i <= j, <a, w> is the same for all of them: with q
+    the parity of a & r above bit j, it is q at i = j and q + r_j below.
+    So the count depends only on j and q, and the 2^(p-1-j) such a are
+    split evenly by q unless r has no bits above j (then q = 0).
+    """
+    sides: Counter = Counter()
+    for j in range(p):
+        high, r_j, below = r >> (j + 1), r >> j & 1, r & ((1 << j) - 1)
+        many = 1 << (p - 1 - j)
+        for q, times in ((0, many >> 1), (1, many >> 1)) if high else ((0, many),):
+            sides[(high << j) + ((r_j & q) << j) + (r_j ^ q) * below] += times
+    return sides
 
 
 def build_sidorenko(
@@ -232,12 +238,12 @@ def sidorenko_edge_count(
     of parity counts (see the module docstring).  The first n mod 2^p
     blocks hold one vertex more, so the odd side of a has
     (n >> p) * 2^(p-1) vertices plus those of the larger blocks w with
-    <a, w> odd; the a with equal odd sides share one count."""
+    <a, w> odd; the a with equal odd sides share one count, and
+    _odd_sides lists them in O(p) steps, not one per a."""
     _check_blocks(n, p, allow_remainder)
-    rem = n & ((1 << p) - 1)
     base = (n >> p) << (p - 1)
-    odd_sides = Counter(base + _odd_below(a, rem) for a in range(1, 1 << p))
     total = sum(
-        times * parity_edge_count(n, k, Shift(2 * odd - n)) for odd, times in odd_sides.items()
+        times * parity_edge_count(n, k, Shift(2 * (base + odd) - n))
+        for odd, times in _odd_sides(p, n & ((1 << p) - 1)).items()
     )
     return total >> (p - 1)

@@ -20,14 +20,26 @@ Every text format shares its line syntax: a data line is a tag followed
 by integers, blank lines and lines starting with `#` are ignored, and
 readers report offending line numbers on malformed input.  The row
 reader and writer below are shared by all of them.
+
+The subset formats (`turan-hg v1` here, `turan-fam v1` in shadow) are
+written, and read back, a block of rows at a time.  The block reader
+takes only the writer's own form: the exact magic line, the header line
+as `key=<digits> key=<digits>`, and a body of `tag` lines of ASCII
+digits and single spaces, each row on its own line, with a final
+newline.  Any other text (comments, blank lines, other whitespace, signs,
+non-ASCII digits, or any failed check) goes through the line reader,
+which gives the same result and raises every FormatError, so the
+errors and their line numbers are the line reader's alone.
 """
 
 from __future__ import annotations
 
 import math
-import struct
+import re
+import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
+from operator import and_, lt, neg, or_, xor
 
 
 class FormatError(ValueError):
@@ -53,23 +65,32 @@ def _kraw_values(n: int, x: int) -> Iterator[int]:
 
 
 # _kraw_value refuses a value whose recurrence takes more bit-steps: m
-# steps on integers of at most min(n, m * (bitlen(n // m) + 2)) bits, as
-# |K_j^n(x)| <= C(n, j) <= min(2^n, (e n / m)^m) for j <= m <= n / 2, and
-# above n / 2 the second term exceeds n.  On a 2-CPU VM (Intel Xeon) the
-# bit-steps ran at 0.08-0.38 ns each, so this many take about 0.4-1.6 s.
+# steps on integers of at most _kraw_bits(m, n) bits.  On a 2-CPU VM
+# (Intel Xeon) the bit-steps ran at 0.08-0.38 ns each, so this many take
+# about 0.4-1.6 s.  krawtchouk.optimal_shift refuses a longer scan.
 MAX_KRAW_BIT_STEPS = 1 << 32
+
+
+def _kraw_bits(m: int, n: int) -> int:
+    """min(n, m * (bitlen(n // m) + 2)), for 0 < m <= n: no K_j^n(x) with
+    j <= m is longer, as |K_j^n(x)| <= C(n, j) <= min(2^n, (e n / m)^m)
+    for j <= m <= n / 2, and above n / 2 the second term exceeds n."""
+    return min(n, m * ((n // m).bit_length() + 2))
+
+
+def _check_bit_steps(steps: int, what: str) -> None:
+    if steps > MAX_KRAW_BIT_STEPS:
+        raise ValueError(
+            f"{what} takes up to {steps} bit-steps, more than the most spent on one "
+            f"Krawtchouk value, {MAX_KRAW_BIT_STEPS}"
+        )
 
 
 def _kraw_value(m: int, n: int, x: int) -> int:
     """K_m^n(x) for 0 <= m <= n, entry m of _kraw_values, refused above
     MAX_KRAW_BIT_STEPS."""
     if m * n > MAX_KRAW_BIT_STEPS:  # m * n bounds the steps below, and is cheaper
-        steps = m * min(n, m * ((n // m).bit_length() + 2))
-        if steps > MAX_KRAW_BIT_STEPS:
-            raise ValueError(
-                f"K_{m}^{n} takes up to {steps} bit-steps, more than the most spent on one "
-                f"Krawtchouk value, {MAX_KRAW_BIT_STEPS}"
-            )
+        _check_bit_steps(m * _kraw_bits(m, n), f"K_{m}^{n}")
     return next(islice(_kraw_values(n, x), m, None))
 
 
@@ -267,14 +288,16 @@ def _transpose(words: Sequence[int], n: int) -> list[int]:
 
     The words must lie in 0 .. 2^n - 1.  The transpose is a few big-int
     operations per 64 rows.  The words (or, above n = 64, one 64-bit limb
-    of each) are packed little-endian, padded with zero words to whole
-    blocks of 8 words.  Byte column j of that array holds bits 8j..8j+7
-    of every word, and each 8 bytes of it are an 8x8 bit block: words by
-    bits.  The columns are joined into one int, and the three Hacker's
+    of each) are packed little-endian as an array of unsigned 64-bit
+    items, padded with zero words to whole blocks of 8 words.  Byte
+    column j of that array holds bits 8j..8j+7 of every word, and each 8
+    bytes of it are an 8x8 bit block: words by bits.  The columns are joined into one int, and the three Hacker's
     Delight rounds transpose every block at once, so byte t of block b
     then holds words 8b..8b+7 at bit 8j+t.  Row 8j+t is the strided
     slice of those bytes, read little-endian.
     """
+    from array import array  # loaded on the first transpose, not by every command
+
     m = len(words)
     if not m:
         return [0] * n
@@ -282,8 +305,10 @@ def _transpose(words: Sequence[int], n: int) -> list[int]:
     pad = bytes(8 * (col - m))
     rows: list[int] = []
     for low in range(0, n, 64):
-        limbs = words if n <= 64 else [e >> low & _WORD for e in words]
-        raw = struct.pack(f"<{m}Q", *limbs) + pad
+        limbs = array("Q", words if n <= 64 else [e >> low & _WORD for e in words])
+        if sys.byteorder == "big":
+            limbs.byteswap()
+        raw = limbs.tobytes() + pad
         width = -(-min(64, n - low) // 8)
         x = int.from_bytes(b"".join([raw[j::8] for j in range(width)]), "little")
         # a 1 at the bottom of every 64-bit word: times a word mask, it repeats the mask
@@ -406,8 +431,99 @@ def _write_rows(magic: str, header: str, tag: str, rows: Iterable[Iterable[int]]
     return "\n".join(out) + "\n"
 
 
+# the block reader and writer work this many rows at a time
+_BLOCK_ROWS = 1024
+
+
+def _write_subsets(magic: str, header: str, tag: str, masks: Sequence[int], size: int) -> str:
+    """_write_rows(magic, header, tag, map(indices_of, masks)) for masks of
+    `size` bits each, a block of rows at a time.
+
+    Each block peels the lowest set bit off every mask at once, size
+    times, so column j holds the j-th smallest index of every row as a
+    bit; each bit is turned into its index text once per call.
+    """
+    out = [magic, header]
+    names: dict[int, str] = {}
+    for start in range(0, len(masks), _BLOCK_ROWS):
+        rest = masks[start : start + _BLOCK_ROWS]
+        cols = []
+        for _ in range(size):
+            low = list(map(and_, rest, map(neg, rest)))
+            rest = list(map(xor, rest, low))
+            cols.append(low)
+        for bit in set().union(*cols).difference(names):
+            names[bit] = str(bit.bit_length() - 1)
+        texts = [map(names.__getitem__, col) for col in cols]
+        out.append("\n".join(map(" ".join, zip(repeat(tag, len(rest)), *texts))))
+    return "\n".join(out) + "\n"
+
+
+def _read_written(
+    text: str, magic: str, keys: tuple[str, str], tag: str, per_k: int
+) -> tuple[int, int, tuple[int, ...]] | None:
+    """(ground, k, sorted masks) of text in _write_subsets's form, rows of
+    per_k * k indices, a block of rows at a time; None for any other text.
+
+    None also stands for every failed check: the caller then reads the
+    text line by line, which gives the same result or raises the error.
+    A block is accepted when its tokens, split at single spaces and line
+    ends, are `tag` exactly at every row start and ASCII digits in range
+    everywhere else, every line holds one row, and the indices increase
+    along each row.  Each distinct token is converted once.
+    """
+    head = text[: text.find("\n", len(magic) + 1) + 1]  # the first two lines
+    try:
+        (ground, k), _, _ = _read_header(head, magic, keys)
+    except FormatError:
+        return None
+    if head != f"{magic}\n{keys[0]}={ground} {keys[1]}={k}\n" or min(ground, k) < 0:
+        return None
+    if not text.endswith("\n"):  # so that every block ends a line
+        return None
+    stride = per_k * k + 1
+    width = len(str(ground))
+    bits = {tag: 0}  # index text -> its bit; the tag sets none
+    line_start = "\n" + tag
+    masks: list[int] = []
+    blocks = re.compile(r"(?:[^\n]*\n){1,%d}" % _BLOCK_ROWS).finditer(text, len(head))
+    for block in map(re.Match.group, blocks):
+        rows = block.count("\n")
+        tokens = block.replace("\n", " ").split(" ")
+        tokens.pop()  # the empty token after the last line end
+        if (
+            len(tokens) != rows * stride
+            or tokens[::stride].count(tag) != rows
+            or tokens.count(tag) != rows
+            or block.count(line_start) != rows - 1
+        ):
+            return None
+        for token in set(tokens).difference(bits):
+            # the width keeps int() within the digits it reads
+            if not (token.isascii() and token.isdigit() and len(token) <= width):
+                return None
+            if int(token) >= ground:
+                return None
+            bits[token] = 1 << int(token)
+        cols = [list(map(bits.__getitem__, tokens[j::stride])) for j in range(1, stride)]
+        for low, high in zip(cols, cols[1:]):
+            if not all(map(lt, low, high)):
+                return None
+        row_masks = repeat(0, rows)
+        for col in cols:
+            row_masks = map(or_, row_masks, col)
+        masks.extend(row_masks)
+    masks.sort()
+    if not all(map(lt, masks, islice(masks, 1, None))):
+        return None
+    return ground, k, tuple(masks)
+
+
 def read_hypergraph(text: str) -> Hypergraph:
     """Parse the turan-hg v1 format; raises FormatError with line numbers."""
+    written = _read_written(text, _HG_MAGIC, ("n", "k"), "e", 2)
+    if written is not None and written[1] >= 1:
+        return Hypergraph(*written)
     (n, k), lineno, lines = _read_header(text, _HG_MAGIC, ("n", "k"))
     if n < 0 or k < 1:
         raise FormatError(f"need n >= 0 and k >= 1, got n={n} k={k}", lineno)
@@ -416,4 +532,4 @@ def read_hypergraph(text: str) -> Hypergraph:
 
 def write_hypergraph(h: Hypergraph) -> str:
     """Serialize to turan-hg v1, edges in canonical (sorted mask) order."""
-    return _write_rows(_HG_MAGIC, f"n={h.n} k={h.k}", "e", map(indices_of, h.edges))
+    return _write_subsets(_HG_MAGIC, f"n={h.n} k={h.k}", "e", h.edges, 2 * h.k)

@@ -20,7 +20,9 @@ The parity construction on the shift 2t (construct.Shift) has
 K_{2k}^n(x) over x = n/2 + t.  K_m^n(x) cannot vanish when
 (2x - n)^2 > 4mn, and its minimizers lie in that window, which keeps
 the scan short: K at its first two arguments comes from the first
-recurrence, and the second walks the rest.
+recurrence, and the second walks the rest.  The walk takes about
+sqrt(2kn) steps on integers of up to core._kraw_bits(2k, n) bits, and is
+refused above core.MAX_KRAW_BIT_STEPS of them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .construct import Shift
-from .core import _Record, _kraw_value, _kraw_values, binom_exact
+from .core import _Record, _check_bit_steps, _kraw_bits, _kraw_value, _kraw_values, binom_exact
 
 # genfunc_row refuses longer rows, of (n + 1) * n bits, as |K_m^n| < 2^n
 MAX_ROW_BITS = 1 << 28
@@ -66,7 +68,8 @@ def optimal_shift(n: int, k: int) -> OptimalShiftReport:
 
     By symmetry only t >= 0 is scanned.  The scan covers the feasible
     shifts with (2t)^2 <= 8kn, the window where K_{2k}^n(n/2 + t) can
-    be small.
+    be small.  A scan of more than core.MAX_KRAW_BIT_STEPS bit-steps is
+    refused.
     """
     if k < 1 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 2, got n={n} k={k}")
@@ -75,6 +78,7 @@ def optimal_shift(n: int, k: int) -> OptimalShiftReport:
     # ceil(n/2) in steps of 1; (2t)^2 <= 8kn caps them
     first, last = (n + 1) // 2, (n + min(n, math.isqrt(8 * k * n))) // 2
     prev, cur = kraw_eval(m, n, first - 1), kraw_eval(m, n, first)
+    _check_bit_steps((last - first) * _kraw_bits(m, n), f"the shift scan for n={n} k={k}")
     least, winners = cur, [first]
     for x in range(first, last):
         prev, cur = cur, ((n - 2 * m) * cur - x * prev) // (n - x)

@@ -24,9 +24,9 @@ from .core import (
     _Record,
     _read_header,
     _read_subsets,
-    _write_rows,
+    _read_written,
+    _write_subsets,
     binom_real,
-    indices_of,
 )
 
 
@@ -113,6 +113,9 @@ _FAM_MAGIC = "turan-fam v1"
 
 def read_family(text: str) -> SetFamily:
     """Parse turan-fam v1; raises FormatError with line numbers."""
+    written = _read_written(text, _FAM_MAGIC, ("m", "k"), "s", 1)
+    if written is not None:
+        return SetFamily(*written)
     (m, k), lineno, lines = _read_header(text, _FAM_MAGIC, ("m", "k"))
     if m < 0 or k < 0:
         raise FormatError("m and k must be nonnegative", lineno)
@@ -121,4 +124,4 @@ def read_family(text: str) -> SetFamily:
 
 def write_family(fam: SetFamily) -> str:
     """Serialize to turan-fam v1, members in canonical (sorted mask) order."""
-    return _write_rows(_FAM_MAGIC, f"m={fam.m} k={fam.k}", "s", map(indices_of, fam.members))
+    return _write_subsets(_FAM_MAGIC, f"m={fam.m} k={fam.k}", "s", fam.members, fam.k)

@@ -475,6 +475,19 @@ def test_oversized_krawtchouk_value_exits_2(argv, m, n):
     )
 
 
+def test_oversized_shift_scan_exits_2():
+    # 92,681 shifts of up to 81,920 bits: each of its two Krawtchouk values
+    # is allowed, the scan over them is refused before its first step
+    start = time.perf_counter()
+    proc = run_in_1_gib("kraw", "tstar", "--n", "1048576", "--k", "4096")
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: the shift scan for n=1048576 k=4096 takes up to 7592427520 bit-steps, more than "
+        f"the most spent on one Krawtchouk value, {core.MAX_KRAW_BIT_STEPS}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, code, out",
     [("free", 0, "free\n"), ("maximal", 1, "not-maximal\n")],

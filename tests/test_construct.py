@@ -1,4 +1,6 @@
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -232,6 +234,49 @@ def test_sidorenko_edge_count_counts_each_odd_side_once(monkeypatch):
     got = cn.sidorenko_edge_count(1000, 1, 5, allow_remainder=True)
     assert got == binom_exact(1000, 2) - sum(binom_exact(s, 2) for s in sizes)
     assert 1 < len(calls) == len(set(calls)) < 31
+
+
+def test_odd_sides_match_the_walk():
+    # _odd_sides against #{w < r : <a, w> odd} walked over every nonzero a
+    def walked(p, r):
+        return Counter(sum((a & w).bit_count() & 1 for w in range(r)) for a in range(1, 1 << p))
+
+    rng = random.Random(8)
+    for p in range(1, 9):
+        for r in range(1 << p) if p <= 6 else rng.sample(range(1 << p), 6):
+            assert cn._odd_sides(p, r) == walked(p, r), (p, r)
+
+
+def kraw_by_sum(m, n, x):
+    return sum((-1) ** i * binom_exact(x, i) * binom_exact(n - x, m - i) for i in range(m + 1))
+
+
+def zero_xor_free_count(n, k, p):
+    """With 2^p | n every nonzero a splits the vertices in halves, so
+    C(n, 2k) - (C(n, 2k) + (2^p - 1) K_{2k}^n(n/2)) / 2^p sets have a
+    nonzero label XOR (the character sum over a)."""
+    c = binom_exact(n, 2 * k)
+    return c - (c + ((1 << p) - 1) * kraw_by_sum(2 * k, n, n // 2) >> p)
+
+
+def test_sidorenko_edge_count_matches_the_character_sum():
+    for p in range(1, 9):
+        for n in (2**p, 3 * 2**p, 5 * 2**p):
+            for k in (1, 2, 3):
+                if 2 * k <= n:
+                    assert cn.sidorenko_edge_count(n, k, p) == zero_xor_free_count(n, k, p)
+
+
+def test_sidorenko_edge_count_at_p_30():
+    # the odd sides are listed in O(p) steps, not one per label
+    n, p = 2**30, 30
+    start = time.perf_counter()
+    for k in (1, 2):
+        assert cn.sidorenko_edge_count(n, k, p) == zero_xor_free_count(n, k, p)
+    # with 12,345 blocks of two, the zero-XOR pairs are those 12,345 pairs
+    got = cn.sidorenko_edge_count(n + 12345, 1, p, allow_remainder=True)
+    assert time.perf_counter() - start < 1
+    assert got == binom_exact(n + 12345, 2) - 12345
 
 
 def test_sidorenko_needs_a_vertex_per_label():

@@ -287,6 +287,163 @@ def test_family_io_round_trip(fam):
     assert read_family(write_family(fam)) == fam
 
 
+def _row_writer(magic, header, tag, masks):
+    """The block writers' oracle: one `tag index ...` row per mask."""
+    return core._write_rows(magic, header, tag, map(core.indices_of, masks))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 6, 63, 64, 65, 130])
+def test_block_writer_matches_the_row_writer(n, k):
+    rng = random.Random(10 * n + k)
+    for count in (0, 1, 7, 300):
+        edges = {core.mask_of(rng.sample(range(n), 2 * k)) for _ in range(count if n >= 2 * k else 0)}
+        h = core.hypergraph(n, k, edges)
+        assert core.write_hypergraph(h) == _row_writer(core._HG_MAGIC, f"n={n} k={k}", "e", h.edges)
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025])
+def test_io_round_trip_across_a_block_boundary(rows):
+    h = core.Hypergraph(20, 2, tuple(sorted(core.enumerate_ksubsets(20, 4))[:rows]))
+    text = core.write_hypergraph(h)
+    assert text == _row_writer(core._HG_MAGIC, "n=20 k=2", "e", h.edges)
+    assert core._read_written(text, core._HG_MAGIC, ("n", "k"), "e", 2) == (20, 2, h.edges)
+    assert core.read_hypergraph(text) == h
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def _mutations(text, other_tag, rng):
+    """(name, text) pairs: the written text with one change each, made at
+    a row that rng picks (the text has at least one row)."""
+    magic, header, *rows = text.split("\n")[:-1]
+    i = rng.randrange(len(rows))
+    j = rng.randrange(len(rows))
+    fields = rows[i].split(" ")
+    ground = header.split(" ")[0].split("=")[1]
+
+    def with_rows(new_rows, end="\n"):
+        return "\n".join([magic, header, *new_rows]) + end
+
+    def at_row(line):
+        return with_rows(rows[:i] + [line] + rows[i + 1 :])
+
+    def before_row(line):
+        return with_rows(rows[:i] + [line] + rows[i:])
+
+    def with_field(f, value):
+        return at_row(" ".join(fields[:f] + [value] + fields[f + 1 :]))
+
+    out = [
+        ("comment line", before_row("# a note")),
+        ("blank line", before_row("")),
+        ("tab", at_row(rows[i].replace(" ", "\t", 1))),
+        ("CRLF", text.replace("\n", "\r\n")),
+        ("CR in one row", at_row(rows[i] + "\r")),
+        ("leading space", at_row(" " + rows[i])),
+        ("trailing space", at_row(rows[i] + " ")),
+        ("missing final newline", text[:-1]),
+        ("wrong tag", with_field(0, other_tag)),
+        ("long row", at_row(rows[i] + " 0")),
+        ("duplicate row", before_row(rows[i])),
+        ("rows rotated", with_rows(rows[i + 1 :] + rows[: i + 1])),
+        ("rows swapped", with_rows([rows[j] if r == i else rows[i] if r == j else row for r, row in enumerate(rows)])),
+        ("second header", before_row(header)),
+        ("second magic line", before_row(magic)),
+        ("tag alone", before_row(fields[0])),
+        ("huge header integer", text.replace(f"={ground} ", "=" + "9" * 5000 + " ", 1)),
+        ("leading zero in header", text.replace(f"={ground} ", f"=0{ground} ", 1)),
+    ]
+    if len(fields) > 1:
+        f = rng.randrange(1, len(fields))
+        out += [
+            ("x1c inside a row", at_row(" ".join(fields[:f]) + "\x1c" + " ".join(fields[f:]))),
+            ("double space", at_row(rows[i].replace(" ", "  ", 1))),
+            ("tag glued to an index", at_row(fields[0] + " ".join(fields[1:]))),
+            ("leading zero", with_field(f, "0" + fields[f])),
+            ("plus sign", with_field(f, "+" + fields[f])),
+            ("non-ASCII digits", with_field(f, fields[f].translate(_ARABIC_INDIC))),
+            ("minus sign", with_field(f, "-" + fields[f])),
+            ("underscore", with_field(f, fields[f][0] + "_" + fields[f][1:] if len(fields[f]) > 1 else "1_0")),
+            ("short row", at_row(" ".join(fields[:-1]))),
+            ("tag for an index", with_field(f, fields[0])),
+            ("tag after an index in the first row", with_rows([" ".join([*fields[1:2], fields[0], *fields[2:]]), *rows[1:]])),
+            ("index of n", with_field(len(fields) - 1, ground)),
+            ("huge index", with_field(f, "9" * 5000)),
+            ("index with zeros beyond int()", with_field(f, "0" * 5000 + fields[f])),
+        ]
+    if len(fields) > 2:
+        out.append(("decreasing row", at_row(" ".join([fields[0], fields[2], fields[1], *fields[3:]]))))
+    return out
+
+
+def _outcome(read, text):
+    """What read(text) returns, or the type, text and line of what it raises."""
+    try:
+        return read(text)
+    except ValueError as err:
+        return type(err).__name__, str(err), getattr(err, "line", None)
+
+
+def _fuzz_against_the_line_reader(monkeypatch, module, read, text, other_tag, rng):
+    """read gives, on text and on every mutation of it, what it gives with
+    the block reader off, so that the line reader reads every text."""
+    for name, mutated in [("as written", text), *_mutations(text, other_tag, rng)]:
+        got = _outcome(read, mutated)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_read_written", lambda *args: None)
+            want = _outcome(read, mutated)
+        assert got == want, name
+
+
+@pytest.mark.parametrize(
+    "n, k, count", [(20, 2, 1100), (9, 1, 30), (12, 3, 200), (70, 2, 1500), (4, 2, 1)]
+)
+def test_block_reader_agrees_with_the_line_reader(monkeypatch, n, k, count):
+    rng = random.Random(100 * n + k)
+    edges: set[int] = set()
+    while len(edges) < count:
+        edges.add(core.mask_of(rng.sample(range(n), 2 * k)))
+    h = core.hypergraph(n, k, edges)
+    text = core.write_hypergraph(h)
+    assert core._read_written(text, core._HG_MAGIC, ("n", "k"), "e", 2) == (n, k, h.edges)
+    for _ in range(3):
+        _fuzz_against_the_line_reader(monkeypatch, core, core.read_hypergraph, text, "s", rng)
+
+
+def test_block_reader_leaves_other_text_to_the_line_reader():
+    # text that only the line reader takes, or that it refuses
+    for text in (
+        "turan-hg v1\nn=5 k=1\ne 0 1\ne 3 4",
+        "turan-hg v1\nn=5 k=1\n# row\ne 0 1\n",
+        "turan-hg v1\nn=5 k=1\ne 0\t1\n",
+        "turan-hg v1\nn=5 k=1\ne 0 +1\n",
+        "turan-hg v1\nn=5 k=1\ne 0 \u0661\n",
+        "turan-hg v1\nn=5 k=1\ne 1 0\n",
+        "turan-hg v1\nn=5 k=1\ne 0 5\n",
+        "turan-hg v1\nn=5 k=1\ne 0 1\ne 0 1\n",
+        "turan-hg v1\nn=5 k=1\ne 0 1 2\n",
+        "turan-hg v1\nn=5 k=1\ne 0 1 e 2 3\n",
+        "turan-hg v1\nn=5 k=1\ne 0\n1 e 2 3\n",
+        "turan-hg v1\nn=5\xa0k=1\ne 0 1\n",
+        "turan-hg v1\nn=\u0665 k=1\ne 0 1\n",
+        "turan-hg v1\nn=-5 k=1\n",
+        "turan-hg v1\nn=5 k=-1\n",
+        "turan-hg v1\nn=5 k=1\n0 e 1\n",
+        "turan-hg v1\nn=5 k=1\ne 0 e\n",
+        "turan-hg v1\nk=1 n=5\ne 0 1\n",
+        "turan-hg v1 \nn=5 k=1\ne 0 1\n",
+        "turan-hg v1\nn=5 k=1",
+    ):
+        assert core._read_written(text, core._HG_MAGIC, ("n", "k"), "e", 2) is None, text
+    # the line reader reads a text without its final newline, and keeps its errors
+    assert core.read_hypergraph("turan-hg v1\nn=5 k=1\ne 0 1\ne 3 4") == core.Hypergraph(5, 1, (3, 24))
+    with pytest.raises(core.FormatError) as exc:
+        core.read_hypergraph("turan-hg v1\nn=5 k=0\n")
+    assert (exc.value.line, str(exc.value)) == (2, "line 2: need n >= 0 and k >= 1, got n=5 k=0")
+
+
 # every value record of the package, with field values its checks accept
 RECORDS = [
     (core.Hypergraph, (4, 1, (3, 5))),

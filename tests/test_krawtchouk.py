@@ -79,6 +79,22 @@ def test_value_limit_is_exact(monkeypatch):
         assert str(err.value) == message
 
 
+def test_shift_scan_limit_is_exact(monkeypatch):
+    # n = 100, k = 1 scans x = 50..64: 14 steps of up to
+    # min(100, 2 * (bitlen(50) + 2)) = 16 bits, 224 bit-steps; its two
+    # Krawtchouk values stay below the cheap m * n test at either limit
+    want = kw.optimal_shift(100, 1)
+    monkeypatch.setattr(core, "MAX_KRAW_BIT_STEPS", 224)
+    assert kw.optimal_shift(100, 1) == want
+    monkeypatch.setattr(core, "MAX_KRAW_BIT_STEPS", 223)
+    with pytest.raises(ValueError) as err:
+        kw.optimal_shift(100, 1)
+    assert str(err.value) == (
+        "the shift scan for n=100 k=1 takes up to 224 bit-steps, more than the most spent on "
+        "one Krawtchouk value, 223"
+    )
+
+
 def test_value_limit_bounds_every_step():
     # the cost counts each of the m steps at min(n, m * (bitlen(n // m) + 2))
     # bits; no value on the way to K_m^n(x) is longer

@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from turanhg import shadow as sh
+from turanhg import core, shadow as sh
 from turanhg.core import binom_exact, binom_real, enumerate_ksubsets, mask_of, set_family
+
+from test_core import _fuzz_against_the_line_reader, _row_writer
 
 
 def brute_shadow(fam):
@@ -157,3 +159,38 @@ def test_family_io_k0():
     fam = set_family(5, 0, [0])
     text = sh.write_family(fam)
     assert sh.read_family(text) == fam
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 63, 64, 65, 130])
+def test_block_writer_matches_the_row_writer(m, k):
+    rng = random.Random(10 * m + k)
+    for count in (0, 1, 7, 300):
+        members = {mask_of(rng.sample(range(m), k)) for _ in range(count if m >= k else 0)}
+        fam = set_family(m, k, members)
+        assert sh.write_family(fam) == _row_writer(sh._FAM_MAGIC, f"m={m} k={k}", "s", fam.members)
+    assert sh.write_family(set_family(m, 0, [0])) == f"turan-fam v1\nm={m} k=0\ns\n"
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025])
+def test_io_round_trip_across_a_block_boundary(rows):
+    fam = set_family(20, 3, sorted(enumerate_ksubsets(20, 3))[:rows])
+    text = sh.write_family(fam)
+    assert text == _row_writer(sh._FAM_MAGIC, "m=20 k=3", "s", fam.members)
+    assert core._read_written(text, sh._FAM_MAGIC, ("m", "k"), "s", 1) == (20, 3, fam.members)
+    assert sh.read_family(text) == fam
+
+
+@pytest.mark.parametrize(
+    "m, k, count", [(20, 3, 1100), (9, 1, 9), (12, 4, 200), (70, 2, 1500), (5, 0, 1), (3, 3, 1)]
+)
+def test_block_reader_agrees_with_the_line_reader(monkeypatch, m, k, count):
+    rng = random.Random(100 * m + k)
+    members: set[int] = set()
+    while len(members) < count:
+        members.add(mask_of(rng.sample(range(m), k)))
+    fam = set_family(m, k, members)
+    text = sh.write_family(fam)
+    assert core._read_written(text, sh._FAM_MAGIC, ("m", "k"), "s", 1) == (m, k, fam.members)
+    for _ in range(3):
+        _fuzz_against_the_line_reader(monkeypatch, sh, sh.read_family, text, "e", rng)
