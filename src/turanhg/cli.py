@@ -154,6 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=8)
     p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--max-nodes", type=int, metavar="N", help="cut the search after N nodes (optimal false)"
+    )
     p.add_argument("--witness", metavar="FILE")
     p.add_argument("--tsv", action="store_true")
 
@@ -309,7 +312,9 @@ def _cmd_search(args) -> int:
             f"warning: exact search above n=8 grows quickly (n={args.n})",
             file=sys.stderr,
         )
-    result = search.exact_turan(args.n, cap=args.cap, seed=args.seed)
+    result = search.exact_turan(
+        args.n, cap=args.cap, seed=args.seed, max_nodes=args.max_nodes
+    )
     if args.witness:
         _emit(core.write_hypergraph(result.witness), args.witness)
     _record(

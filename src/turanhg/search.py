@@ -14,24 +14,28 @@ exact_turan solves that system by branch and bound over item bitsets:
   shift, which is known conflict free: the items that meet its first
   part (the prefix 0 .. n/2+t-1) in an odd number of vertices;
 * conflict_triples lists the conflicts in increasing order of their
-  item mask, and each item keeps the bitset of the conflicts that hold
-  it, so a node reads conflict state with one AND per item rather than
-  a scan of every conflict;
-* a `dead` bitset of conflicts travels down the recursion next to the
-  included and excluded items: every exclusion (a branch or a forced
-  one) ORs in the excluded item's conflicts, and the rest are live;
-* including an item immediately excludes the third item of any live
-  conflict whose other two items are already included;
-* items in no live conflict are included for free;
-* the bound is items_in + items_undecided - (greedy packing of live
-  conflicts with pairwise disjoint undecided supports), since each such
-  conflict forces one more exclusion; the packing takes the two-item
-  supports of live conflicts touching an included item first, sorted,
+  item mask; each item keeps the bitset of the conflicts that hold it
+  and the masks of their other two items;
+* down the recursion travel the included and excluded items, the
+  `dead` conflicts (those holding an excluded item), `touch` (the
+  conflicts of the branch-included items) and the sorted two-item
+  supports of the touched live conflicts.  A live conflict has at
+  most one included item, since a second forces the third out, and
+  its support fixes it (A|B and A|C give B|C), so no support repeats;
+* including an item excludes the third item of each live conflict
+  whose other two items are included, and adds the supports of its
+  other live conflicts;
+* each node first bounds: the items not excluded, less a greedy
+  packing of live conflicts with pairwise disjoint undecided supports,
+  since each forces one more exclusion; the carried supports go first,
   then the untouched live conflicts, lowest index first.  That order
-  (support size, then mask value) fixes which conflicts get packed, and
-  with it the bound and so the node count;
-* branching picks an undecided item in the most live conflicts
-  (include branch first), with an optional seeded tie-break order;
+  (support size, then mask value) fixes which conflicts get packed,
+  and with it the bound and so the node count;
+* only a node the bound keeps scans its undecided items, one AND and
+  a popcount each: items in no live conflict are included for free
+  (the bound's item count stays), and branching picks an undecided
+  item in the most live conflicts (include branch first), with an
+  optional seeded tie-break order;
 * the root takes the include branch alone.  Relabelling the vertices
   maps conflicts to conflicts, so S_n acts on the free families, and
   it is transitive on the 4-subsets.  For n >= 4 every optimum is
@@ -91,15 +95,15 @@ def exact_turan(
     Exhaustive branch and bound; n above the cap is refused (raise the
     cap explicitly to go further, runtimes grow quickly).  The result
     value never depends on the seed, which only shuffles branching
-    tie-breaks.  When max_nodes is exceeded the incumbent is returned
-    with proof_of_optimality=False.
+    tie-breaks.  When max_nodes (at least 0) is exceeded the incumbent
+    is returned with proof_of_optimality=False.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the search cap {cap}; raise the cap to {n}"
-        )
+        raise ValueError(f"n={n} exceeds the search cap {cap}; raise the cap to {n}")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"need max_nodes >= 0, got {max_nodes}")
     system = conflict_triples(n)
     items = system.items
     nitems = len(items)
@@ -108,12 +112,14 @@ def exact_turan(
     # conflicts come in increasing item mask order, so the lowest set bit
     # of a conflict bitset is the conflict with the smallest mask
     triples = system.conflicts
-    conflict_masks = [(1 << a) | (1 << b) | (1 << d) for a, b, d in triples]
     all_conflicts = (1 << len(triples)) - 1
     conf_of = [0] * nitems  # bitset of the conflicts holding each item
-    for ci, triple in enumerate(triples):
-        for it in triple:
+    others = [[] for _ in range(nitems)]  # their other two items, as masks
+    for ci, (a, b, d) in enumerate(triples):
+        mask = (1 << a) | (1 << b) | (1 << d)
+        for it in a, b, d:
             conf_of[it] |= 1 << ci
+            others[it].append(mask ^ 1 << it)
 
     # incumbent: the parity construction is conflict free
     best_mask = 0
@@ -131,27 +137,33 @@ def exact_turan(
     nodes = 0
     truncated = False
 
-    def include(inc: int, exc: int, dead: int, item: int) -> tuple[int, int, int]:
-        """Add an undecided item; exclude the items it forces out.
+    def include(
+        inc: int, exc: int, dead: int, item: int, supports: list[int]
+    ) -> tuple[int, int, int, list[int]]:
+        """Add an undecided item, exclude the items it forces out, and
+        return the supports of the touched live conflicts, sorted.
 
         No live conflict of item has its other two items included: the
-        second of them would have excluded item (dead only grows down
-        the tree, and free inclusion takes only items in no live
-        conflict).  Two items of a conflict fix the third (A|B and A|C
-        give B|C), so a forced exclusion kills no other live conflict
-        of item."""
+        second of them would have excluded item.  Two items of a
+        conflict fix the third, so a forced exclusion kills no other
+        live conflict of item; those others add their supports.  A
+        parent support holding item loses its other item to exc."""
         inc |= 1 << item
-        around = conf_of[item] & ~dead
-        while around:
-            low = around & -around
-            around ^= low
-            undecided = conflict_masks[low.bit_length() - 1] & ~inc
-            if undecided & (undecided - 1) == 0:
-                exc |= undecided
-                dead |= conf_of[undecided.bit_length() - 1]
-        return inc, exc, dead
+        grown = []
+        for pair in others[item]:
+            if pair & exc:  # dead
+                continue
+            rest = pair & ~inc
+            if rest == pair:
+                grown.append(pair)
+            else:
+                exc |= rest
+                dead |= conf_of[rest.bit_length() - 1]
+        grown += [sup for sup in supports if not sup & exc]
+        grown.sort()
+        return inc, exc, dead, grown
 
-    def rec(inc: int, exc: int, dead: int) -> None:
+    def rec(inc: int, exc: int, dead: int, supports: list[int], touch: int) -> None:
         nonlocal best_val, best_mask, nodes, truncated
         if truncated:
             return
@@ -161,68 +173,53 @@ def exact_turan(
             return
         root = not inc | exc  # every other node has a decided item
 
-        live = all_conflicts & ~dead
-        undecided = full & ~inc & ~exc
-        # one pass over the items: free ones (in no live conflict) join
-        # inc, the rest are scored by their number of live conflicts, and
-        # included ones mark the live conflicts they touch
-        touched = 0
-        pick, pick_count, pick_rank = -1, 0, 0
-        for v in range(nitems):
-            if undecided >> v & 1:
-                count = (conf_of[v] & live).bit_count()
-                if not count:
-                    inc |= 1 << v
-                    undecided ^= 1 << v
-                elif count > pick_count or (
-                    count == pick_count and tie_break[v] < pick_rank
-                ):
-                    pick, pick_count, pick_rank = v, count, tie_break[v]
-            elif inc >> v & 1:
-                touched |= conf_of[v]
-        touched &= live
-
-        # greedy packing bound: disjoint undecided supports, the two-item
-        # supports of touched conflicts first, then untouched conflicts,
-        # each in increasing mask order; packing only lowers the bound, so
-        # it stops once the bound cannot beat the incumbent
-        bound = inc.bit_count() + undecided.bit_count()
+        # greedy packing bound, cut short once it cannot beat the incumbent
+        bound = nitems - exc.bit_count()
         if bound <= best_val:
             return
-        supports = []
-        rest = touched
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            supports.append(conflict_masks[low.bit_length() - 1] & ~inc)
-        supports.sort()
+        live = all_conflicts & ~dead
+        candidates = live & ~touch
         used = 0
         for sup in supports:
             if not sup & used:
                 used |= sup
                 bound -= 1
-        candidates = live & ~touched
-        while used:
-            top = used.bit_length() - 1
-            candidates &= ~conf_of[top]
-            used ^= 1 << top
-        while candidates and bound > best_val:
+                if bound <= best_val:
+                    return
+                low = sup & -sup
+                candidates &= ~conf_of[low.bit_length() - 1] & ~conf_of[sup.bit_length() - 1]
+        while candidates:
             bound -= 1
+            if bound <= best_val:
+                return
             for it in triples[(candidates & -candidates).bit_length() - 1]:
                 candidates &= ~conf_of[it]
-        if bound <= best_val:
-            return
+
+        # the scan: free items join inc, the rest are scored
+        pick, pick_count, pick_rank = -1, 0, 0
+        rest = full & ~inc & ~exc
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            count = (conf_of[v] & live).bit_count()
+            if not count:
+                inc |= low
+            elif count > pick_count or (count == pick_count and tie_break[v] < pick_rank):
+                pick, pick_count, pick_rank = v, count, tie_break[v]
         if pick < 0:
             best_val, best_mask = inc.bit_count(), inc
             return
 
         # branch on the undecided item in the most live conflicts; the
         # root's exclude branch is a relabelling of its include branch
-        rec(*include(inc, exc, dead, pick))
+        rec(*include(inc, exc, dead, pick, supports), touch | conf_of[pick])
         if not root:
-            rec(inc, exc | (1 << pick), dead | conf_of[pick])
+            pick_bit = 1 << pick
+            kept = [sup for sup in supports if not sup & pick_bit]
+            rec(inc, exc | pick_bit, dead | conf_of[pick], kept, touch)
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, [], 0)
 
     edges = tuple(sorted(items[i] for i in range(nitems) if best_mask >> i & 1))
     witness = Hypergraph(n, 2, edges)

@@ -305,8 +305,8 @@ def test_search_exact_warns_only_when_the_search_runs(capsys, monkeypatch):
     assert err == "error: n=10 exceeds the search cap 9; raise the cap to 10\n"
     calls = []
 
-    def stub(n, *, cap, seed):
-        calls.append((n, cap, seed))
+    def stub(n, *, cap, seed, max_nodes):
+        calls.append((n, cap, seed, max_nodes))
         return search.SearchResult(n, 0, core.hypergraph(n, 2, []), 1, True)
 
     monkeypatch.setattr(search, "exact_turan", stub)
@@ -315,7 +315,22 @@ def test_search_exact_warns_only_when_the_search_runs(capsys, monkeypatch):
     assert err == "warning: exact search above n=8 grows quickly (n=9)\n"
     code, out, err = run(capsys, "search", "exact", "--n", "8")
     assert (code, err) == (0, "")
-    assert calls == [(9, 9, None), (8, 8, None)]
+    assert calls == [(9, 9, None, None), (8, 8, None, None)]
+
+
+def test_search_exact_node_budget(capsys):
+    # n = 10 has no proof in reach; the budget cuts it after 200 nodes
+    start = time.perf_counter()
+    proc = run_in_1_gib("search", "exact", "--n", "10", "--cap", "10", "--max-nodes", "200")
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1:] == ["nodes 201", "optimal false"]
+    assert proc.stderr == "warning: exact search above n=8 grows quickly (n=10)\n"
+    r = search.exact_turan(7, max_nodes=3)
+    code, out, _ = run(capsys, "search", "exact", "--n", "7", "--max-nodes", "3")
+    assert (code, out) == (0, f"value {r.value}\nnodes 4\noptimal false\n")
+    code, out, err = run(capsys, "search", "exact", "--n", "7", "--max-nodes", "-1")
+    assert (code, out, err) == (2, "", "error: need max_nodes >= 0, got -1\n")
 
 
 def test_oversized_inputs_exit_2(tmp_path, capsys):

@@ -152,6 +152,11 @@ def test_exact_turan_cap():
     assert sr.exact_turan(3).value == 0
 
 
+def test_exact_turan_refuses_a_negative_budget():
+    with pytest.raises(ValueError, match="need max_nodes >= 0, got -1"):
+        sr.exact_turan(7, max_nodes=-1)
+
+
 def test_exact_turan_truncation():
     # a cut search counts the node that crossed the budget and stops there
     for budget in range(6):
@@ -278,9 +283,14 @@ def _reference_exact_turan(
     return best_val, nodes, not truncated, edges
 
 
-_REFERENCE_CASES = [
-    (n, seed, 8, None) for n in range(9) for seed in (None, 0, 1, 2, 3)
-] + [(9, seed, 9, budget) for budget in (50, 300) for seed in (4, 5)]
+_REFERENCE_CASES = (
+    [(n, seed, 8, None) for n in range(9) for seed in (None, 0, 1, 2, 3)]
+    + [(9, seed, 9, budget) for budget in (50, 300) for seed in (4, 5)]
+    # the benchmark's n = 9 budget jobs (two of its seed-101 tie-break
+    # seeds), and more tie-break orders for the n = 7 and 8 proofs
+    + [(9, seed, 9, 500) for seed in (691775673, 381666133)]
+    + [(n, seed, 8, None) for n in (7, 8) for seed in (6, 7, 8)]
+)
 
 
 @pytest.mark.parametrize("n, seed, cap, max_nodes", _REFERENCE_CASES)
