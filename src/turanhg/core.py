@@ -87,11 +87,14 @@ def _check_bit_steps(steps: int, what: str) -> None:
 
 
 def _kraw_value(m: int, n: int, x: int) -> int:
-    """K_m^n(x) for 0 <= m <= n, entry m of _kraw_values, refused above
-    MAX_KRAW_BIT_STEPS."""
+    """K_m^n(x) for 0 <= m <= n, entry m of _kraw_values by the same
+    recurrence, refused above MAX_KRAW_BIT_STEPS."""
     if m * n > MAX_KRAW_BIT_STEPS:  # m * n bounds the steps below, and is cheaper
         _check_bit_steps(m * _kraw_bits(m, n), f"K_{m}^{n}")
-    return next(islice(_kraw_values(n, x), m, None))
+    prev, cur = 0, 1
+    for j in range(m):
+        prev, cur = cur, ((n - 2 * x) * cur - (n - j + 1) * prev) // (j + 1)
+    return cur
 
 
 def binom_real(x: float, k: int) -> float:

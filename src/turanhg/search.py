@@ -14,8 +14,9 @@ exact_turan solves that system by branch and bound over item bitsets:
   shift, which is known conflict free: the items that meet its first
   part (the prefix 0 .. n/2+t-1) in an odd number of vertices;
 * conflict_triples lists the conflicts in increasing order of their
-  item mask; each item keeps the bitset of the conflicts that hold it
-  and the masks of their other two items;
+  item mask; each item keeps the bitset of the conflicts that hold it,
+  its complement `keep` and the masks of their other two items, and
+  each conflict the bitset `clear` of the conflicts disjoint from it;
 * down the recursion travel the included and excluded items, the
   `dead` conflicts (those holding an excluded item), `touch` (the
   conflicts of the branch-included items) and the sorted two-item
@@ -23,14 +24,18 @@ exact_turan solves that system by branch and bound over item bitsets:
   most one included item, since a second forces the third out, and
   its support fixes it (A|B and A|C give B|C), so no support repeats;
 * including an item excludes the third item of each live conflict
-  whose other two items are included, and adds the supports of its
-  other live conflicts;
+  whose other two items are included, adds the supports of its other
+  live conflicts and drops the carried supports that meet the new
+  exclusions; the exclude child drops those holding its item, if a
+  touched live conflict holds it;
 * each node first bounds: the items not excluded, less a greedy
   packing of live conflicts with pairwise disjoint undecided supports,
   since each forces one more exclusion; the carried supports go first,
-  then the untouched live conflicts, lowest index first.  That order
-  (support size, then mask value) fixes which conflicts get packed,
-  and with it the bound and so the node count;
+  then the untouched live conflicts, lowest index first, each packed
+  one leaving only the conflicts in `keep` of its two undecided items
+  or in its `clear`.  That order (support size, then mask value) fixes
+  which conflicts get packed, and with it the bound and so the node
+  count;
 * only a node the bound keeps scans its undecided items, one AND and
   a popcount each: items in no live conflict are included for free
   (the bound's item count stays), and branching picks an undecided
@@ -120,6 +125,8 @@ def exact_turan(
         for it in a, b, d:
             conf_of[it] |= 1 << ci
             others[it].append(mask ^ 1 << it)
+    keep = [all_conflicts ^ c for c in conf_of]  # the conflicts without item i
+    clear = [keep[a] & keep[b] & keep[d] for a, b, d in triples]  # disjoint from c
 
     # incumbent: the parity construction is conflict free
     best_mask = 0
@@ -147,8 +154,10 @@ def exact_turan(
         second of them would have excluded item.  Two items of a
         conflict fix the third, so a forced exclusion kills no other
         live conflict of item; those others add their supports.  A
-        parent support holding item loses its other item to exc."""
+        parent support holding item loses its other item to exc, so
+        only the new exclusions can drop a parent support."""
         inc |= 1 << item
+        old_exc = exc
         grown = []
         for pair in others[item]:
             if pair & exc:  # dead
@@ -159,7 +168,8 @@ def exact_turan(
             else:
                 exc |= rest
                 dead |= conf_of[rest.bit_length() - 1]
-        grown += [sup for sup in supports if not sup & exc]
+        new = exc ^ old_exc
+        grown += [sup for sup in supports if not sup & new] if new else supports
         grown.sort()
         return inc, exc, dead, grown
 
@@ -177,7 +187,7 @@ def exact_turan(
         bound = nitems - exc.bit_count()
         if bound <= best_val:
             return
-        live = all_conflicts & ~dead
+        live = all_conflicts ^ dead
         candidates = live & ~touch
         used = 0
         for sup in supports:
@@ -187,17 +197,16 @@ def exact_turan(
                 if bound <= best_val:
                     return
                 low = sup & -sup
-                candidates &= ~conf_of[low.bit_length() - 1] & ~conf_of[sup.bit_length() - 1]
+                candidates &= keep[low.bit_length() - 1] & keep[sup.bit_length() - 1]
         while candidates:
             bound -= 1
             if bound <= best_val:
                 return
-            for it in triples[(candidates & -candidates).bit_length() - 1]:
-                candidates &= ~conf_of[it]
+            candidates &= clear[(candidates & -candidates).bit_length() - 1]
 
         # the scan: free items join inc, the rest are scored
         pick, pick_count, pick_rank = -1, 0, 0
-        rest = full & ~inc & ~exc
+        rest = full ^ inc ^ exc
         while rest:
             low = rest & -rest
             rest ^= low
@@ -215,9 +224,11 @@ def exact_turan(
         # root's exclude branch is a relabelling of its include branch
         rec(*include(inc, exc, dead, pick, supports), touch | conf_of[pick])
         if not root:
+            # only a touched live conflict of pick has a support holding it
             pick_bit = 1 << pick
-            kept = [sup for sup in supports if not sup & pick_bit]
-            rec(inc, exc | pick_bit, dead | conf_of[pick], kept, touch)
+            if conf_of[pick] & touch & live:
+                supports = [sup for sup in supports if not sup & pick_bit]
+            rec(inc, exc | pick_bit, dead | conf_of[pick], supports, touch)
 
     rec(0, 0, 0, [], 0)
 

@@ -107,6 +107,14 @@ def test_value_limit_bounds_every_step():
                     assert longest <= min(n, m * ((n // m).bit_length() + 2)), (n, x, m)
 
 
+def test_one_value_is_its_row_entry():
+    # the one-value loop and the row generator run the same recurrence
+    for n in range(41):
+        for x in range(n + 1):
+            row = list(core._kraw_values(n, x))
+            assert [core._kraw_value(m, n, x) for m in range(n + 1)] == row, (n, x)
+
+
 def test_eval_domain_errors():
     with pytest.raises(ValueError):
         kw.kraw_eval(-1, 4, 2)

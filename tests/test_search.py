@@ -290,6 +290,10 @@ _REFERENCE_CASES = (
     # seeds), and more tie-break orders for the n = 7 and 8 proofs
     + [(9, seed, 9, 500) for seed in (691775673, 381666133)]
     + [(n, seed, 8, None) for n in (7, 8) for seed in (6, 7, 8)]
+    # searches cut mid-tree, with carried supports filtered by the new
+    # exclusions alone
+    + [(9, seed, 9, budget) for budget in (1, 2, 37) for seed in (None, 0)]
+    + [(8, seed, 8, 100) for seed in (1, 2)]
 )
 
 
