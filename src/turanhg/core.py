@@ -97,16 +97,6 @@ def _kraw_value(m: int, n: int, x: int) -> int:
     return cur
 
 
-def binom_real(x: float, k: int) -> float:
-    """Real-argument binomial x(x-1)...(x-k+1) / k! as a float."""
-    if k < 0:
-        raise ValueError(f"binom_real needs k >= 0, got {k}")
-    out = 1.0
-    for i in range(k):
-        out *= (x - i) / (i + 1)
-    return out
-
-
 def mask_of(indices: Iterable[int]) -> int:
     """Bitmask of a vertex index collection."""
     m = 0
@@ -151,6 +141,8 @@ def _check_members(n: int, size: int, masks: Sequence[int], what: str) -> None:
             raise ValueError(
                 f"{what} {indices_of(m)} has {m.bit_count()} vertices, expected {size}"
             )
+    if not all(map(lt, masks, islice(masks, 1, None))):
+        raise ValueError(f"{what}s must be sorted ascending and duplicate free")
 
 
 class _Record:
@@ -224,8 +216,6 @@ class Hypergraph(_Record, _KeepsRows):
         if n < 0 or k < 1:
             raise ValueError(f"need n >= 0 and k >= 1, got n={n} k={k}")
         _check_members(n, 2 * k, edges, "edge")
-        if any(a >= b for a, b in zip(edges, edges[1:])):
-            raise ValueError("edges must be sorted ascending and duplicate free")
 
     @property
     def edge_count(self) -> int:
@@ -250,8 +240,6 @@ class SetFamily(_Record):
         if m < 0 or k < 0:
             raise ValueError(f"need m >= 0 and k >= 0, got m={m} k={k}")
         _check_members(m, k, members, "member")
-        if any(a >= b for a, b in zip(members, members[1:])):
-            raise ValueError("members must be sorted ascending and duplicate free")
 
     @property
     def size(self) -> int:

@@ -7,6 +7,10 @@ The bound is tight when A consists of the first C(x, k) k-sets in
 colexicographic order for an integer x, i.e. all k-subsets of an
 x-element prefix.
 
+check_lovasz_bound bisects x in floats (lovasz_x), reads the bound off
+x by the root identity C(x, k-1) = k |A| / (x - k + 1), and gives an
+exact verdict from integers alone (_holds).
+
 The text format `turan-fam v1` stores a family:
 
     turan-fam v1
@@ -16,7 +20,7 @@ The text format `turan-fam v1` stores a family:
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .core import (
     FormatError,
@@ -26,7 +30,6 @@ from .core import (
     _read_subsets,
     _read_written,
     _write_subsets,
-    binom_real,
 )
 
 
@@ -47,10 +50,12 @@ def shadow_of(fam: SetFamily) -> SetFamily:
 def lovasz_x(size: int, k: int) -> float:
     """The unique real x >= k - 1 with C(x, k) = size, by bisection.
 
-    binom_real is strictly increasing on [k - 1, inf); the root is
+    C(x, k) is strictly increasing on [k - 1, inf); the root is
     bracketed by [k - 1, k - 1 + size] and bisected to 1e-12, or until
     no float lies strictly between the ends (from x = 8192 on, adjacent
-    floats are more than 1e-12 apart).
+    floats are more than 1e-12 apart).  C(mid, k) = prod (mid - i) / (k - i)
+    cannot overflow on the way: for mid >= k the factors are >= 1, else
+    in [0, 1].  A final inf means C(mid, k) > size, and inf < size is false.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -63,7 +68,10 @@ def lovasz_x(size: int, k: int) -> float:
         mid = (lo + hi) / 2
         if mid == lo or mid == hi:
             break
-        if binom_real(mid, k) < size:
+        binom = 1.0
+        for i in range(k):
+            binom *= (mid - i) / (k - i)
+        if binom < size:
             lo = mid
         else:
             hi = mid
@@ -76,16 +84,15 @@ def _holds(size: int, shadow_size: int, k: int) -> bool:
     C(x, k) = C(x, k-1) (x - k + 1) / k, so x = k size / C(x, k-1) + k - 1.
     With q = k size / shadow_size + k - 1 the bound holds iff
     C(q, k-1) <= shadow_size, as C(x, k) and C(x, k-1) both increase on
-    x >= k - 1.  An empty family has bound 0; a nonempty one has a
-    nonempty shadow.
+    x >= k - 1.  Over integers, with a = q shadow_size, that is
+    prod_{i < k-1} (a - i shadow_size) <= (k-1)! shadow_size^k.  An
+    empty family has bound 0; a nonempty one has a nonempty shadow.
     """
     if not size:
         return True
-    q = Fraction(k * size, shadow_size) + k - 1
-    bound = Fraction(1)
-    for i in range(k - 1):
-        bound = bound * (q - i) / (i + 1)
-    return bound <= shadow_size
+    a = k * size + (k - 1) * shadow_size
+    falling = math.prod(a - i * shadow_size for i in range(k - 1))
+    return falling <= math.factorial(k - 1) * shadow_size**k
 
 
 class ShadowReport(_Record):
@@ -96,14 +103,15 @@ def check_lovasz_bound(fam: SetFamily) -> ShadowReport:
     """Compare |shadow(A)| against C(x, k-1) at x = lovasz_x(|A|, k).
 
     The verdict is exact (_holds); x and bound are floats for display.
-    An empty family gets bound 0 (the degenerate x = k - 1 root would
-    claim 1).
+    The bound is read off x by the root identity
+    C(x, k-1) = k C(x, k) / (x - k + 1) = k |A| / (x - k + 1).  An empty
+    family gets bound 0 (the degenerate x = k - 1 root would claim 1).
     """
-    size = fam.size
-    x = lovasz_x(size, fam.k)
-    bound = binom_real(x, fam.k - 1) if size else 0.0
+    size, k = fam.size, fam.k
+    x = lovasz_x(size, k)
+    bound = k * size / (x - k + 1) if size else 0.0
     shadow_size = shadow_of(fam).size
-    return ShadowReport(size, x, bound, shadow_size, _holds(size, shadow_size, fam.k))
+    return ShadowReport(size, x, bound, shadow_size, _holds(size, shadow_size, k))
 
 
 # --- turan-fam v1 --------------------------------------------------------

@@ -28,6 +28,7 @@ from turanhg.cli import run_cli
 from turanhg.krawtchouk import Shift
 
 from test_algebra import enumerate_one_factorizations
+from test_shadow import _binom_float
 
 RESULTS: dict[int, tuple[str, bool]] = {}
 
@@ -390,7 +391,7 @@ def test_criterion_07_coloring_algebra():
 def _shadow_bound_table(n_items: int, k: int) -> list[float]:
     table = [0.0]
     for size in range(1, n_items + 1):
-        table.append(core.binom_real(shadow.lovasz_x(size, k), k - 1))
+        table.append(_binom_float(shadow.lovasz_x(size, k), k - 1))
     return table
 
 

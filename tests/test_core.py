@@ -32,21 +32,6 @@ def test_binom_exact_negative_raises():
         core.binom_exact(5, -2)
 
 
-def test_binom_real_matches_integer_points():
-    for n in range(0, 25):
-        for k in range(0, 8):
-            assert core.binom_real(float(n), k) == pytest.approx(
-                core.binom_exact(n, k), abs=1e-9
-            )
-
-
-def test_binom_real_fractional():
-    # C(x,2) = x(x-1)/2 by hand
-    assert core.binom_real(2.5, 2) == pytest.approx(2.5 * 1.5 / 2)
-    assert core.binom_real(0.5, 3) == pytest.approx(0.5 * (-0.5) * (-1.5) / 6)
-    assert core.binom_real(7.25, 0) == 1.0
-
-
 @given(st.sets(st.integers(0, 62), max_size=10))
 def test_mask_round_trip(vs):
     m = core.mask_of(vs)

@@ -103,8 +103,8 @@ def test_package_import_loads_no_submodule():
 
 def _modules_after(argv: list[str] | None, cwd: Path) -> tuple[int | None, set[str]]:
     """run_cli(argv)'s exit code and which turanhg modules, and which of
-    dataclasses and inspect, a fresh interpreter holds after it;
-    build_parser() alone when argv is None."""
+    dataclasses, inspect and fractions, a fresh interpreter holds after
+    it; build_parser() alone when argv is None."""
     call = "code = None; build_parser()" if argv is None else f"code = run_cli({argv!r})"
     code = (
         "import contextlib, io, json, sys\n"
@@ -113,7 +113,7 @@ def _modules_after(argv: list[str] | None, cwd: Path) -> tuple[int | None, set[s
         "contextlib.redirect_stderr(io.StringIO()):\n"
         f"    {call}\n"
         "print(json.dumps([code, sorted(m for m in sys.modules\n"
-        "    if m.startswith('turanhg') or m in ('dataclasses', 'inspect'))]))\n"
+        "    if m.startswith('turanhg') or m in ('dataclasses', 'inspect', 'fractions'))]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -179,7 +179,9 @@ def test_cli_command_imports_only_what_it_runs(tmp_path, argv, exit_code, librar
     # a module-level library import in turanhg.cli would load it for every
     # command, the usage errors and --help included; only stability's
     # TupleCensus is a dataclass, so only its commands load dataclasses
-    # (which imports inspect)
+    # (which imports inspect), and only stability's simonovits_partition
+    # keeps Fraction fields, so only its commands load fractions (shadow
+    # decides in integers)
     from turanhg import algebra, construct, core, shadow, stability
 
     h, part = construct.build_parity(6, 1, construct.Shift(0))
@@ -191,5 +193,5 @@ def test_cli_command_imports_only_what_it_runs(tmp_path, argv, exit_code, librar
     (tmp_path / "g.txt").write_text("turan-g v1\nn=4\ng 0 1\ng 1 2\ng 2 3\ng 0 3\n")
     want = _BASE | {f"turanhg.{name}" for name in library}
     if "stability" in library:
-        want |= {"dataclasses", "inspect"}
+        want |= {"dataclasses", "inspect", "fractions"}
     assert _modules_after(argv, tmp_path) == (exit_code, want)

@@ -1,14 +1,35 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from turanhg import core, shadow as sh
-from turanhg.core import binom_exact, binom_real, enumerate_ksubsets, mask_of, set_family
+from turanhg.core import binom_exact, enumerate_ksubsets, mask_of, set_family
 
 from test_core import _fuzz_against_the_line_reader, _row_writer
+
+
+def _binom_float(x, k):
+    """C(x, k) = x(x-1)...(x-k+1) / k! as a float product."""
+    out = 1.0
+    for i in range(k):
+        out *= (x - i) / (i + 1)
+    return out
+
+
+def _holds_fraction(size, shadow_size, k):
+    """shadow_size >= C(q, k-1) at the rational q = k size / shadow_size + k - 1,
+    in Fractions: the rational route to _holds's verdict."""
+    if not size:
+        return True
+    q = Fraction(k * size, shadow_size) + k - 1
+    bound = Fraction(1)
+    for i in range(k - 1):
+        bound = bound * (q - i) / (i + 1)
+    return bound <= shadow_size
 
 
 def brute_shadow(fam):
@@ -58,14 +79,14 @@ def test_lovasz_x_terminates_above_float_resolution():
     size = binom_exact(100_000, 2) + 17
     x = sh.lovasz_x(size, 2)
     assert 100_000 < x < 100_001
-    assert binom_real(x, 2) == pytest.approx(size, rel=1e-12)
+    assert _binom_float(x, 2) == pytest.approx(size, rel=1e-12)
 
 
 def test_lovasz_x_round_trip():
     for k in (2, 3, 4):
         for size in range(0, 200, 7):
             x = sh.lovasz_x(size, k)
-            assert binom_real(x, k) == pytest.approx(size, abs=1e-6)
+            assert _binom_float(x, k) == pytest.approx(size, abs=1e-6)
 
 
 def test_bound_tight_on_complete_families():
@@ -115,6 +136,36 @@ def test_holds_is_exact_at_large_counts():
             size, tight = binom_exact(x, k), binom_exact(x, k - 1)
             assert sh._holds(size, tight, k), (k, x)
             assert not sh._holds(size, tight - 1, k), (k, x)
+            for shadow_size in (tight - 1, tight, tight + 1):
+                want = _holds_fraction(size, shadow_size, k)
+                assert sh._holds(size, shadow_size, k) == want, (k, x, shadow_size)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_holds_matches_the_fraction_route(k):
+    # every shadow size from 1 up to two past the smallest one that meets
+    # the bound
+    for size in range(301):
+        tight = None
+        shadow_size = 1
+        while tight is None or shadow_size <= tight + 2:
+            want = _holds_fraction(size, shadow_size, k)
+            assert sh._holds(size, shadow_size, k) == want, (size, shadow_size)
+            if want and tight is None:
+                tight = shadow_size
+            shadow_size += 1
+
+
+@pytest.mark.parametrize("k", [1030, 2000])
+def test_single_large_set_report_is_finite(k):
+    # C(x, k) = 1 at x = k, but a running product through C(x, 1), C(x, 2), ...
+    # passes C(k, k/2), beyond the largest float from k = 1,030 on
+    rep = sh.check_lovasz_bound(core.SetFamily(k, k, (mask_of(range(k)),)))
+    assert rep.x == pytest.approx(k, abs=1e-9)
+    assert math.isfinite(rep.bound)
+    assert rep.bound == pytest.approx(k, abs=1e-6)
+    assert rep.shadow_size == k
+    assert rep.holds
 
 
 def test_holds_matches_float_bound_at_small_counts():
@@ -122,7 +173,7 @@ def test_holds_matches_float_bound_at_small_counts():
     # at integer x, where it is within 1e-9 of the tight shadow size
     for k in (1, 2, 3, 4):
         for size in range(1, 80):
-            bound = binom_real(sh.lovasz_x(size, k), k - 1)
+            bound = _binom_float(sh.lovasz_x(size, k), k - 1)
             for shadow_size in range(1, 80):
                 want = shadow_size >= bound - 1e-9
                 assert sh._holds(size, shadow_size, k) == want, (k, size, shadow_size)

@@ -62,6 +62,11 @@ CASES = {
     "hypergraph-k": (
         lambda: core.Hypergraph(4, 0, ()), ValueError, "need n >= 0 and k >= 1, got n=4 k=0"
     ),
+    "hypergraph-order": (
+        lambda: core.Hypergraph(4, 2, (0b1111, 0b1111)),
+        ValueError,
+        "edges must be sorted ascending and duplicate free",
+    ),
     "set-family-m": (
         lambda: core.SetFamily(-1, 2, ()), ValueError, "need m >= 0 and k >= 0, got m=-1 k=2"
     ),
@@ -73,7 +78,6 @@ CASES = {
         ValueError,
         "members must be sorted ascending and duplicate free",
     ),
-    "binom-real-k": (lambda: core.binom_real(1.5, -1), ValueError, "binom_real needs k >= 0"),
     "ksubsets-negative": (
         lambda: list(core.enumerate_ksubsets(-1, 2)),
         ValueError,
