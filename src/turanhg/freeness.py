@@ -1,26 +1,38 @@
-"""Expanded-clique detection via the auxiliary k-subset graph.
+"""Expanded-clique detection: an odd vertex part, then the auxiliary k-subset graph.
 
 An expanded clique with r branch sets in a 2k-uniform hypergraph H is a
 family of r pairwise disjoint k-subsets whose C(r, 2) pairwise unions
-are all edges of H.  Build the auxiliary graph G whose vertices are the
-k-subsets of the covered vertices (those some edge holds) and whose
-edges join P and Q exactly when P union Q is an edge of H (which forces
-P and Q disjoint): copies of the expanded clique correspond to r-cliques
-of G, and every edge of H splits into C(2k, k)/2 auxiliary edges, so
-e(G) = C(2k, k)/2 * e(H).  A k-subset holding an uncovered vertex would
-be isolated, so for r >= 2 leaving it out changes no answer.
+are all edges of H.  find_expansion tries three routes in order.
 
-Every question is answered on the materialized graph (one adjacency
-bitset per vertex) by one clique engine in two stages.  First a
-DSATUR coloring (Brelaz 1979) looks for a proper coloring with fewer
-than r colors, which proves that no r-clique exists: this is the
-paper's pigeonhole argument, found rather than assumed (parity of
-|P & V1| 2-colors the parity constructions, the GF(2)^p label
-2^p-colors the XOR ones).  The classes are checked to be independent
-before they are trusted, so a coloring fault can only cost time, never
-give a wrong "free".  When no such coloring turns up, an exact branch
-and bound with a greedy coloring bound decides.  r = 1 needs no graph:
-a copy is a single k-subset, so one exists exactly when n >= k.
+First, for r >= 3, an odd part: a vertex set V1 that every edge meets in
+an odd number of vertices, found by solving one GF(2) equation per edge
+(_odd_part).  Such an H lies inside the paper's B(V1), the 2k-sets that
+meet V1 oddly, and has no expanded triangle: if P1, P2, P3 had all three
+pairwise unions as edges, the three sums |Pi & V1| + |Pj & V1| would all
+be odd, yet their total counts each |Pi & V1| twice and is even.  So H
+is free for every r >= 3.  This covers exactly the inputs that lie
+inside some B(V1), the parity constructions among them, without any
+graph.  At r = 2 a single edge is a copy, so the route is not tried.
+Nor is it when the covered vertices fill less than half of the span
+0 .. (highest covered vertex) and that span exceeds 64: the route's
+transpose takes one pass over the edges per 64 vertices of the span.
+
+Otherwise the auxiliary graph G is built: its vertices are the k-subsets
+of the covered vertices (those some edge holds), and P and Q are joined
+exactly when P union Q is an edge of H (which forces P and Q disjoint).
+Copies of the expanded clique correspond to r-cliques of G, and every
+edge of H splits into C(2k, k)/2 auxiliary edges, so
+e(G) = C(2k, k)/2 * e(H).  A k-subset holding an uncovered vertex would
+be isolated, so for r >= 2 leaving it out changes no answer.  On G, one
+clique engine answers in two stages.  The second route is a DSATUR
+coloring (Brelaz 1979) with fewer than r colors, which proves that no
+r-clique exists: the paper's pigeonhole argument, found rather than
+assumed (the GF(2)^p label 2^p-colors the XOR constructions, which have
+no odd part).  The classes are checked to be independent before they
+are trusted, so a coloring fault can only cost time, never give a wrong
+"free".  The third route, when no such coloring turns up, is an exact
+branch and bound with a greedy coloring bound.  r = 1 needs no graph: a
+copy is a single k-subset, so one exists exactly when n >= k.
 Maximality needs no second graph: a new edge e creates a copy exactly
 when some split (P, Q) of e has an (r - 2)-clique inside N(P) & N(Q),
 and that common neighbourhood is always disjoint from e.
@@ -31,7 +43,15 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import combinations
 
-from .core import Hypergraph, _Record, binom_exact, enumerate_ksubsets, indices_of, mask_of
+from .core import (
+    Hypergraph,
+    _Record,
+    _transpose,
+    binom_exact,
+    enumerate_ksubsets,
+    indices_of,
+    mask_of,
+)
 
 # auxiliary_graph refuses a larger graph before it builds a vertex: the
 # adjacency alone takes MAX_AUX_VERTICES^2 / 8 bytes, 32 MiB, and the
@@ -75,14 +95,21 @@ def _splits(edge: int, patterns: list[tuple[int, ...]]) -> Iterator[int]:
         yield p
 
 
-def auxiliary_graph(h: Hypergraph) -> AuxGraph:
-    """Build the auxiliary graph of H: P ~ Q when P | Q is an edge."""
+def _checked_cover(h: Hypergraph) -> int:
+    """The vertices some edge holds, once the auxiliary graph's size is admitted."""
     k = h.k
     covered = 0
     for e in h.edges:
         covered |= e
     _check_size(binom_exact(covered.bit_count(), k), "auxiliary vertices", MAX_AUX_VERTICES)
     _check_size(binom_exact(2 * k, k) // 2 * len(h.edges), "auxiliary edges", MAX_AUX_EDGES)
+    return covered
+
+
+def auxiliary_graph(h: Hypergraph) -> AuxGraph:
+    """Build the auxiliary graph of H: P ~ Q when P | Q is an edge."""
+    k = h.k
+    covered = _checked_cover(h)
     subsets = tuple(map(mask_of, combinations(indices_of(covered), k)))
     index = {s: i for i, s in enumerate(subsets)}
     patterns = _split_patterns(k) if h.edges else []
@@ -112,6 +139,54 @@ def auxiliary_graph(h: Hypergraph) -> AuxGraph:
         digits.reverse()
         adj.append(int(digits, 2))
     return AuxGraph(h.n, k, subsets, tuple(adj))
+
+
+def _odd_part(edges: tuple[int, ...], span: int) -> int | None:
+    """A vertex set V1 that meets every edge in an odd number of vertices, or None.
+
+    Each edge e is the equation sum of x_v over v in e = 1 over GF(2), in
+    the vertices below span.  The pivot rows are kept in reduced echelon
+    form, a row being an equation's vertex mask with its right-hand side
+    at bit span, and V1 is the pivots whose right-hand side is 1 (free
+    variables 0).  odd, a bitset over edge indices, marks the edges V1
+    meets oddly: the XOR of the incidence rows of V1's vertices.  Each
+    round reduces the lowest edge that odd misses by the pivots; what is
+    left has right-hand side 1, since V1 solves every pivot row.  With no
+    vertex left the system has no solution.  Otherwise the lowest vertex
+    left becomes a pivot and is cleared from the rows that hold it, whose
+    right-hand sides flip, so V1 changes at exactly those pivots and the
+    new one.  Every round adds a pivot, so there are at most span + 1,
+    and V1 is returned only once odd holds every edge.
+    """
+    incident = _transpose(edges, span)
+    everyone = (1 << len(edges)) - 1
+    rhs = 1 << span
+    pivots: dict[int, int] = {}  # pivot vertex -> its row
+    cols = part = odd = 0
+    while odd != everyone:
+        miss = everyone ^ odd
+        row = edges[(miss & -miss).bit_length() - 1] | rhs
+        hit = row & cols
+        while hit:
+            low = hit & -hit
+            row ^= pivots[low.bit_length() - 1]
+            hit ^= low
+        if not row & (rhs - 1):
+            return None
+        low = row & -row
+        changed = low
+        for u, other in pivots.items():
+            if other & low:
+                pivots[u] = other ^ row
+                changed |= 1 << u
+        pivots[low.bit_length() - 1] = row
+        cols |= low
+        part ^= changed
+        while changed:
+            low = changed & -changed
+            odd ^= incident[low.bit_length() - 1]
+            changed ^= low
+    return part
 
 
 def _clique_in(adj: tuple[int, ...], cand: int, r: int) -> tuple[int, ...] | None:
@@ -160,7 +235,10 @@ def _clique_in(adj: tuple[int, ...], cand: int, r: int) -> tuple[int, ...] | Non
 def _colouring_below(adj: tuple[int, ...], r: int) -> tuple[int, ...] | None:
     """Color classes (bitsets) of a proper coloring with fewer than r colors, or None.
 
-    DSATUR on bitsets: bysat[j] holds the uncolored vertices that see j
+    The second of find_expansion's routes, run on the auxiliary graph
+    when no odd part proved H free: it certifies the inputs whose
+    freeness is a pigeonhole over fewer than r classes of k-subsets but
+    not a parity, such as the XOR constructions.  DSATUR on bitsets: bysat[j] holds the uncolored vertices that see j
     colors and near[c] the vertices adjacent to class c.  The lowest
     vertex of the highest nonempty bucket takes the least color its
     neighbours lack, and its neighbours new to that color move up one
@@ -232,12 +310,26 @@ def find_expansion(h: Hypergraph, r: int) -> tuple[int, ...] | None:
     Returns r pairwise disjoint k-subset masks whose pairwise unions are
     all edges of h: the subsets of an r-clique of the auxiliary graph.
     At r = 1 a copy is a single k-subset, so the answer is 0..k-1 when
-    n >= k.
+    n >= k.  Otherwise the routes run in order: for r >= 3 an odd vertex
+    part (every edge meets it oddly) proves h free without the graph;
+    then the auxiliary graph is built and a DSATUR coloring with fewer
+    than r colors proves it free; then the exact branch and bound finds
+    a clique or proves there is none.  The graph's size limits are
+    checked before the first route, so every input they refuse is
+    refused whatever the route, and an input the first route does not
+    prove free gets the answer the graph alone gives.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r == 1:
         return (mask_of(range(h.k)),) if h.n >= h.k else None
+    if r >= 3:
+        covered = _checked_cover(h)
+        span = covered.bit_length()
+        # the transpose takes one pass over the edges per 64 vertices of
+        # the span, so covered vertices spread thin go to the graph
+        if span <= max(64, 2 * covered.bit_count()) and _odd_part(h.edges, span) is not None:
+            return None
     g = auxiliary_graph(h)
     got = find_clique(g.adj, r)
     return None if got is None else tuple(g.subsets[i] for i in got)

@@ -550,6 +550,18 @@ def test_oversized_check_exits_2(tmp_path, command, h, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
+def test_check_free_by_odd_part_is_bounded_by_the_covered_span(tmp_path):
+    # a parity construction on vertices 0..15 in a header of 10^12
+    # vertices: the odd part is solved over the 16 covered ones
+    edges = [m for m in core.enumerate_ksubsets(16, 4) if (m & 0xFF).bit_count() % 2]
+    path = tmp_path / "wide.hg"
+    path.write_text(core.write_hypergraph(core.hypergraph(10**12, 2, edges)))
+    start = time.perf_counter()
+    proc = run_in_1_gib("check", "free", "--file", str(path), "--r", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "free\n", "")
+    assert time.perf_counter() - start < 10
+
+
 def _readme_commands():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     for line in readme.read_text(encoding="utf-8").splitlines():

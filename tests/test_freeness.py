@@ -72,6 +72,10 @@ def reference_auxiliary_graph(h):
     return fr.AuxGraph(h.n, h.k, subsets, tuple(adj))
 
 
+def relabel(mask, perm):
+    return mask_of(perm[v] for v in indices_of(mask))
+
+
 def best_parity(n, k):
     return build_parity(n, k, optimal_shift(n, k).maximizers[0])[0]
 
@@ -185,6 +189,95 @@ def test_certify_inputs_never_reach_the_search(monkeypatch):
     for h, r in [(best_parity(28, 2), 3), (best_parity(28, 2), 5), (build_sidorenko(32, 2, 2)[0], 5)]:
         assert fr.find_clique(fr.auxiliary_graph(h).adj, r) is None
         assert fr.find_expansion(h, r) is None
+
+
+def graph_route(h, r):
+    """find_expansion without the odd part: the auxiliary graph's clique."""
+    g = fr.auxiliary_graph(h)
+    got = fr.find_clique(g.adj, r)
+    return None if got is None else tuple(g.subsets[i] for i in got)
+
+
+def brute_force_odd_part(h):
+    """Some vertex set that every edge meets in an odd number of vertices."""
+    for part in range(1 << h.n):
+        if all((e & part).bit_count() % 2 for e in h.edges):
+            return part
+    return None
+
+
+def parity_like(rng, n, k):
+    """The 2k-sets meeting a random part oddly, with 0-2 of them toggled."""
+    part = rng.randrange(1 << n)
+    pool = list(enumerate_ksubsets(n, 2 * k))
+    edges = {m for m in pool if (m & part).bit_count() % 2}
+    for m in rng.sample(pool, min(len(pool), rng.randrange(3))):
+        edges ^= {m}
+    return hypergraph(n, k, edges)
+
+
+def test_odd_part_route_agrees_with_the_graph_route():
+    rng = random.Random(29)
+    fired = 0
+    for i in range(1200):
+        k = rng.choice((1, 2, 3))
+        n = rng.randrange(2 * k, 11)
+        if i % 2:
+            h = parity_like(rng, n, k)
+        else:
+            density = rng.uniform(0.05, 0.5)
+            h = hypergraph(n, k, [m for m in enumerate_ksubsets(n, 2 * k) if rng.random() < density])
+        part = fr._odd_part(h.edges, h.n)
+        assert (part is None) == (brute_force_odd_part(h) is None)
+        if part is not None:
+            fired += 1
+            assert all((e & part).bit_count() % 2 for e in h.edges)
+        for r in range(2, 6):
+            assert fr.find_expansion(h, r) == graph_route(h, r), (h, r)
+    assert fired > 300
+
+
+def test_thinly_spread_vertices_go_to_the_graph(monkeypatch):
+    # 8 covered vertices spread over a span of 7,001: the transpose would
+    # take 110 passes over the edges, so the graph decides, as before
+    h = build_parity(8, 2, Shift(4))[0]
+    spread = range(0, 7001, 1000)
+    wide = hypergraph(7001, 2, [relabel(e, spread) for e in h.edges])
+    monkeypatch.setattr(fr, "_odd_part", None)
+    assert fr.find_expansion(wide, 3) is None
+    assert fr.find_expansion(wide, 2) == tuple(relabel(p, spread) for p in fr.find_expansion(h, 2))
+
+
+def test_odd_part_proves_the_certify_inputs_without_the_graph(monkeypatch):
+    rng = random.Random(3)
+    inputs = [best_parity(n, 2) for n in (16, 20, 24, 28)] + [best_parity(18, 3)]
+    perms = [rng.sample(range(h.n), h.n) for h in inputs]
+    inputs += [hypergraph(h.n, h.k, [relabel(e, p) for e in h.edges]) for h, p in zip(inputs, perms)]
+    best8 = build_parity(8, 2, Shift(4))[0]  # the README's best8.hg
+    validate_copy(best8, 2, fr.find_expansion(best8, 2))  # one edge is a copy at r = 2
+
+    def refuse(h):
+        raise AssertionError("built the auxiliary graph")
+
+    monkeypatch.setattr(fr, "auxiliary_graph", refuse)
+    for h in inputs + [best8]:
+        assert fr.find_expansion(h, 3) is None
+
+
+def test_xor_constructions_still_reach_the_colouring(monkeypatch):
+    # a GF(2)^p labelling is no odd part: the r = 5 proof stays with DSATUR
+    h = build_sidorenko(16, 2, 2)[0]
+    assert fr._odd_part(h.edges, h.n) is None
+    calls = []
+    colouring_below = fr._colouring_below
+
+    def record(adj, r):
+        calls.append(r)
+        return colouring_below(adj, r)
+
+    monkeypatch.setattr(fr, "_colouring_below", record)
+    assert fr.find_expansion(h, 5) is None
+    assert calls == [5]
 
 
 def test_find_expansion_ignores_uncovered_vertices():
