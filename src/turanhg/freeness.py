@@ -13,9 +13,8 @@ be odd, yet their total counts each |Pi & V1| twice and is even.  So H
 is free for every r >= 3.  This covers exactly the inputs that lie
 inside some B(V1), the parity constructions among them, without any
 graph.  At r = 2 a single edge is a copy, so the route is not tried.
-Nor is it when the covered vertices fill less than half of the span
-0 .. (highest covered vertex) and that span exceeds 64: the route's
-transpose takes one pass over the edges per 64 vertices of the span.
+Nor is it when the highest covered vertex is 64 or above: up to there
+the route takes at most 65 rounds of at most 64 pivot updates.
 
 Otherwise the auxiliary graph G is built: its vertices are the k-subsets
 of the covered vertices (those some edge holds), and P and Q are joined
@@ -108,8 +107,12 @@ def _checked_cover(h: Hypergraph) -> int:
 
 def auxiliary_graph(h: Hypergraph) -> AuxGraph:
     """Build the auxiliary graph of H: P ~ Q when P | Q is an edge."""
+    return _graph_on(h, _checked_cover(h))
+
+
+def _graph_on(h: Hypergraph, covered: int) -> AuxGraph:
+    """The auxiliary graph of H, given its covered vertices once checked."""
     k = h.k
-    covered = _checked_cover(h)
     subsets = tuple(map(mask_of, combinations(indices_of(covered), k)))
     index = {s: i for i, s in enumerate(subsets)}
     patterns = _split_patterns(k) if h.edges else []
@@ -238,14 +241,15 @@ def _colouring_below(adj: tuple[int, ...], r: int) -> tuple[int, ...] | None:
     The second of find_expansion's routes, run on the auxiliary graph
     when no odd part proved H free: it certifies the inputs whose
     freeness is a pigeonhole over fewer than r classes of k-subsets but
-    not a parity, such as the XOR constructions.  DSATUR on bitsets: bysat[j] holds the uncolored vertices that see j
-    colors and near[c] the vertices adjacent to class c.  The lowest
-    vertex of the highest nonempty bucket takes the least color its
-    neighbours lack, and its neighbours new to that color move up one
-    bucket.  Gives up as soon as a vertex needs color r - 1.  None is
-    also returned for a coloring that fails the final check (every
-    vertex colored, every class independent), so a fault here can only
-    send the caller to the exact search.
+    not a parity, such as the XOR constructions.  DSATUR on bitsets:
+    bysat[j] holds the uncolored vertices that see j colors and near[c]
+    the vertices adjacent to class c.  The lowest vertex of the highest
+    nonempty bucket takes the least color its neighbours lack, and its
+    neighbours new to that color move up one bucket.  Gives up as soon
+    as a vertex needs color r - 1.  None is also returned for a coloring
+    that fails the final check (every vertex colored, every class
+    independent), so a fault here can only send the caller to the exact
+    search.
     """
     if r < 1:
         return None  # the empty set is a clique of every size below 1
@@ -310,27 +314,25 @@ def find_expansion(h: Hypergraph, r: int) -> tuple[int, ...] | None:
     Returns r pairwise disjoint k-subset masks whose pairwise unions are
     all edges of h: the subsets of an r-clique of the auxiliary graph.
     At r = 1 a copy is a single k-subset, so the answer is 0..k-1 when
-    n >= k.  Otherwise the routes run in order: for r >= 3 an odd vertex
-    part (every edge meets it oddly) proves h free without the graph;
-    then the auxiliary graph is built and a DSATUR coloring with fewer
-    than r colors proves it free; then the exact branch and bound finds
-    a clique or proves there is none.  The graph's size limits are
-    checked before the first route, so every input they refuse is
-    refused whatever the route, and an input the first route does not
-    prove free gets the answer the graph alone gives.
+    n >= k.  Otherwise the routes run in order: for r >= 3, with every
+    covered vertex below 64, an odd vertex part (every edge meets it
+    oddly) proves h free without the graph; then the auxiliary graph is
+    built and a DSATUR coloring with fewer than r colors proves it free;
+    then the exact branch and bound finds a clique or proves there is
+    none.  The graph's size limits are checked once, before the first
+    route, so every input they refuse is refused whatever the route, and
+    an input the first route does not prove free gets the answer the
+    graph alone gives.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r == 1:
         return (mask_of(range(h.k)),) if h.n >= h.k else None
-    if r >= 3:
-        covered = _checked_cover(h)
-        span = covered.bit_length()
-        # the transpose takes one pass over the edges per 64 vertices of
-        # the span, so covered vertices spread thin go to the graph
-        if span <= max(64, 2 * covered.bit_count()) and _odd_part(h.edges, span) is not None:
-            return None
-    g = auxiliary_graph(h)
+    covered = _checked_cover(h)
+    span = covered.bit_length()
+    if r >= 3 and span <= 64 and _odd_part(h.edges, span) is not None:
+        return None
+    g = _graph_on(h, covered)
     got = find_clique(g.adj, r)
     return None if got is None else tuple(g.subsets[i] for i in got)
 

@@ -562,6 +562,19 @@ def test_check_free_by_odd_part_is_bounded_by_the_covered_span(tmp_path):
     assert time.perf_counter() - start < 10
 
 
+def test_check_free_on_a_long_path_stays_fast(tmp_path):
+    # a k = 1 path on 8,000 vertices has an odd part, but solving for it
+    # takes a round per vertex, each rewriting the earlier pivots; its
+    # span is above 64, so the graph's 2-coloring decides
+    edges = [(1 << v) | (1 << (v + 1)) for v in range(7999)]
+    path = tmp_path / "path.hg"
+    path.write_text(core.write_hypergraph(core.hypergraph(8000, 1, edges)))
+    start = time.perf_counter()
+    proc = run_in_1_gib("check", "free", "--file", str(path), "--r", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "free\n", "")
+    assert time.perf_counter() - start < 10
+
+
 def _readme_commands():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     for line in readme.read_text(encoding="utf-8").splitlines():

@@ -238,8 +238,8 @@ def test_odd_part_route_agrees_with_the_graph_route():
 
 
 def test_thinly_spread_vertices_go_to_the_graph(monkeypatch):
-    # 8 covered vertices spread over a span of 7,001: the transpose would
-    # take 110 passes over the edges, so the graph decides, as before
+    # 8 covered vertices spread over a span of 7,001, above 64: the graph
+    # decides
     h = build_parity(8, 2, Shift(4))[0]
     spread = range(0, 7001, 1000)
     wide = hypergraph(7001, 2, [relabel(e, spread) for e in h.edges])
@@ -256,12 +256,22 @@ def test_odd_part_proves_the_certify_inputs_without_the_graph(monkeypatch):
     best8 = build_parity(8, 2, Shift(4))[0]  # the README's best8.hg
     validate_copy(best8, 2, fr.find_expansion(best8, 2))  # one edge is a copy at r = 2
 
-    def refuse(h):
+    def refuse(*args):
         raise AssertionError("built the auxiliary graph")
 
-    monkeypatch.setattr(fr, "auxiliary_graph", refuse)
+    monkeypatch.setattr(fr, "_graph_on", refuse)
     for h in inputs + [best8]:
         assert fr.find_expansion(h, 3) is None
+
+
+def test_odd_part_route_ends_at_vertex_63(monkeypatch):
+    h = build_parity(8, 2, Shift(4))[0]
+    for top, route in [(63, "_graph_on"), (64, "_odd_part")]:
+        spread = [*range(7), top]
+        wide = hypergraph(top + 1, 2, [relabel(e, spread) for e in h.edges])
+        with monkeypatch.context() as patched:
+            patched.setattr(fr, route, None)
+            assert fr.find_expansion(wide, 3) is None
 
 
 def test_xor_constructions_still_reach_the_colouring(monkeypatch):
