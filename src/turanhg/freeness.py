@@ -372,9 +372,11 @@ def is_maximal_free(h: Hypergraph, r: int) -> bool:
     for e in enumerate_ksubsets(h.n, 2 * h.k):
         if e in edge_set:
             continue
-        if not any(
-            _clique_in(adj, adj[index[p]] & adj[index[e ^ p]], r - 2) is not None
-            for p in _splits(e, patterns)
-        ):
+        common = (adj[index[p]] & adj[index[e ^ p]] for p in _splits(e, patterns))
+        if r == 3:  # a 1-clique is any common neighbour
+            extends = any(common)
+        else:
+            extends = any(_clique_in(adj, c, r - 2) is not None for c in common)
+        if not extends:
             return False
     return True

@@ -36,11 +36,19 @@ exact_turan solves that system by branch and bound over item bitsets:
   or in its `clear`.  That order (support size, then mask value) fixes
   which conflicts get packed, and with it the bound and so the node
   count;
-* only a node the bound keeps scans its undecided items, one AND and
-  a popcount each: items in no live conflict are included for free
-  (the bound's item count stays), and branching picks an undecided
-  item in the most live conflicts (include branch first), with an
-  optional seeded tie-break order;
+* `occ` travels down beside `dead`: one W-bit field per item, bit j of
+  item v's field set while the j-th conflict holding v is live, W the
+  smallest power of two >= 8 above the 3*C(n-4, 2) conflicts an item
+  holds.  Each exclusion ANDs a mask that clears the bits of the
+  item's conflicts, and an inclusion also clears the item's own field,
+  so a decided item reads 0;
+* only a node the bound keeps scans its items, all at once: a SWAR
+  popcount of every field (2-bit, 4-bit and byte sums, then W/8 bytes
+  folded into each field's low byte) read one byte per item gives the
+  live counts.  Undecided items counting 0 are included for free (the
+  bound's item count stays), and branching picks an item with the
+  largest count (include branch first), the lowest index first or, with
+  a seed, the lowest rank in a shuffled tie-break order;
 * the root takes the include branch alone.  Relabelling the vertices
   maps conflicts to conflicts, so S_n acts on the free families, and
   it is transitive on the 4-subsets.  For n >= 4 every optimum is
@@ -55,10 +63,15 @@ node budget is not exceeded.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from itertools import combinations
 
-from .core import Hypergraph, _Record, enumerate_ksubsets
+from .core import Hypergraph, _Record, binom_exact, enumerate_ksubsets
 from .krawtchouk import optimal_shift
+
+# The `clear` table alone takes MAX_CONFLICTS^2 / 8 bytes, 128 MiB, and
+# every live count fits one byte (at most 108 per item at n = 13).
+MAX_CONFLICTS = 1 << 15
 
 
 class ConflictSystem(_Record):
@@ -84,6 +97,30 @@ def conflict_triples(n: int) -> ConflictSystem:
     return ConflictSystem(n, items, tuple(conflicts))
 
 
+def _field_popcounts(nitems: int, width: int) -> Callable[[int], bytes]:
+    """The reader of an int made of nitems fields of width bits (a power
+    of two from 8 to 128): it returns the popcount of field i as byte i.
+
+    SWAR steps sum bits in pairs, then nibbles, then bytes, and fold
+    width/8 bytes into each field's low byte; no partial sum exceeds
+    width, so no byte carries into the next."""
+    nbytes = nitems * width // 8
+    full = (1 << 8 * nbytes) - 1
+    m1, m2, m4 = full // 3, full // 5, full // 17  # 0x55.., 0x33.., 0x0f..
+    folds = [8 << f for f in range(width.bit_length() - 4)]
+    step = width // 8
+
+    def read(occ: int) -> bytes:
+        x = occ - (occ >> 1 & m1)
+        x = (x & m2) + (x >> 2 & m2)
+        x = (x + (x >> 4)) & m4
+        for f in folds:
+            x += x >> f
+        return x.to_bytes(nbytes, "little")[::step]
+
+    return read
+
+
 class SearchResult(_Record):
     __slots__ = ("n", "value", "witness", "nodes", "proof_of_optimality")
 
@@ -98,10 +135,12 @@ def exact_turan(
     """Maximum number of 4-subsets of 0..n-1 avoiding expanded triangles.
 
     Exhaustive branch and bound; n above the cap is refused (raise the
-    cap explicitly to go further, runtimes grow quickly).  The result
-    value never depends on the seed, which only shuffles branching
-    tie-breaks.  When max_nodes (at least 0) is exceeded the incumbent
-    is returned with proof_of_optimality=False.
+    cap explicitly to go further, runtimes grow quickly), and so is any
+    n with more than MAX_CONFLICTS = 2^15 conflicts, 15*C(n, 6): n <= 13
+    is admitted, n >= 14 is not.  The result value never depends on the
+    seed, which only shuffles branching tie-breaks.  When max_nodes (at
+    least 0) is exceeded the incumbent is returned with
+    proof_of_optimality=False.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -109,10 +148,19 @@ def exact_turan(
         raise ValueError(f"n={n} exceeds the search cap {cap}; raise the cap to {n}")
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"need max_nodes >= 0, got {max_nodes}")
+    count = 15 * binom_exact(n, 6)
+    if count > MAX_CONFLICTS:
+        raise ValueError(f"{count} conflicts exceed the largest exact search, {MAX_CONFLICTS}")
     system = conflict_triples(n)
     items = system.items
     nitems = len(items)
     full = (1 << nitems) - 1
+
+    # occ fields: W bits per item, above the 3*C(n-4, 2) conflicts it holds
+    width = 8
+    while width <= 3 * binom_exact(max(n - 4, 0), 2):
+        width *= 2
+    full_occ = (1 << nitems * width) - 1
 
     # conflicts come in increasing item mask order, so the lowest set bit
     # of a conflict bitset is the conflict with the smallest mask
@@ -120,13 +168,25 @@ def exact_turan(
     all_conflicts = (1 << len(triples)) - 1
     conf_of = [0] * nitems  # bitset of the conflicts holding each item
     others = [[] for _ in range(nitems)]  # their other two items, as masks
+    hit = [0] * nitems  # occ bits of the conflicts holding each item
+    occ = 0
     for ci, (a, b, d) in enumerate(triples):
         mask = (1 << a) | (1 << b) | (1 << d)
+        bits = 0
         for it in a, b, d:
+            bits |= 1 << (it * width + len(others[it]))
             conf_of[it] |= 1 << ci
             others[it].append(mask ^ 1 << it)
+        for it in a, b, d:
+            hit[it] |= bits
+        occ |= bits
     keep = [all_conflicts ^ c for c in conf_of]  # the conflicts without item i
     clear = [keep[a] & keep[b] & keep[d] for a, b, d in triples]  # disjoint from c
+    drop = [full_occ ^ h for h in hit]  # occ & drop[i]: item i excluded
+    field = (1 << width) - 1
+    mine = [full_occ ^ field << i * width for i in range(nitems)]  # i included
+    live_counts = _field_popcounts(nitems, width)
+    zero = b"1" + b"0" * 255  # a count byte -> "1" when it is 0
 
     # incumbent: the parity construction is conflict free
     best_mask = 0
@@ -145,8 +205,8 @@ def exact_turan(
     truncated = False
 
     def include(
-        inc: int, exc: int, dead: int, item: int, supports: list[int]
-    ) -> tuple[int, int, int, list[int]]:
+        inc: int, exc: int, dead: int, occ: int, item: int, supports: list[int]
+    ) -> tuple[int, int, int, int, list[int]]:
         """Add an undecided item, exclude the items it forces out, and
         return the supports of the touched live conflicts, sorted.
 
@@ -157,6 +217,7 @@ def exact_turan(
         parent support holding item loses its other item to exc, so
         only the new exclusions can drop a parent support."""
         inc |= 1 << item
+        occ &= mine[item]
         old_exc = exc
         grown = []
         for pair in others[item]:
@@ -167,13 +228,15 @@ def exact_turan(
                 grown.append(pair)
             else:
                 exc |= rest
-                dead |= conf_of[rest.bit_length() - 1]
+                out = rest.bit_length() - 1
+                dead |= conf_of[out]
+                occ &= drop[out]
         new = exc ^ old_exc
         grown += [sup for sup in supports if not sup & new] if new else supports
         grown.sort()
-        return inc, exc, dead, grown
+        return inc, exc, dead, occ, grown
 
-    def rec(inc: int, exc: int, dead: int, supports: list[int], touch: int) -> None:
+    def rec(inc: int, exc: int, dead: int, occ: int, supports: list[int], touch: int) -> None:
         nonlocal best_val, best_mask, nodes, truncated
         if truncated:
             return
@@ -204,33 +267,35 @@ def exact_turan(
                 return
             candidates &= clear[(candidates & -candidates).bit_length() - 1]
 
-        # the scan: free items join inc, the rest are scored
-        pick, pick_count, pick_rank = -1, 0, 0
+        # the scan: every item's live count at once, decided items read 0
+        counts = live_counts(occ)
+        top = max(counts)
         rest = full ^ inc ^ exc
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            count = (conf_of[v] & live).bit_count()
-            if not count:
-                inc |= low
-            elif count > pick_count or (count == pick_count and tie_break[v] < pick_rank):
-                pick, pick_count, pick_rank = v, count, tie_break[v]
-        if pick < 0:
-            best_val, best_mask = inc.bit_count(), inc
+        if not top:  # every undecided item is free
+            best_mask = inc | rest
+            best_val = best_mask.bit_count()
             return
+        inc |= int(counts.translate(zero)[::-1], 2) & rest
+        pick = counts.index(top)
+        if seed is not None:
+            rank = tie_break[pick]
+            tie = counts.find(top, pick + 1)
+            while tie >= 0:
+                if tie_break[tie] < rank:
+                    pick, rank = tie, tie_break[tie]
+                tie = counts.find(top, tie + 1)
 
         # branch on the undecided item in the most live conflicts; the
         # root's exclude branch is a relabelling of its include branch
-        rec(*include(inc, exc, dead, pick, supports), touch | conf_of[pick])
+        rec(*include(inc, exc, dead, occ, pick, supports), touch | conf_of[pick])
         if not root:
             # only a touched live conflict of pick has a support holding it
             pick_bit = 1 << pick
             if conf_of[pick] & touch & live:
                 supports = [sup for sup in supports if not sup & pick_bit]
-            rec(inc, exc | pick_bit, dead | conf_of[pick], supports, touch)
+            rec(inc, exc | pick_bit, dead | conf_of[pick], occ & drop[pick], supports, touch)
 
-    rec(0, 0, 0, [], 0)
+    rec(0, 0, 0, occ, [], 0)
 
     edges = tuple(sorted(items[i] for i in range(nitems) if best_mask >> i & 1))
     witness = Hypergraph(n, 2, edges)

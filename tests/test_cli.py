@@ -333,6 +333,21 @@ def test_search_exact_node_budget(capsys):
     assert (code, out, err) == (2, "", "error: need max_nodes >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("n, conflicts", [(14, 45_045), (16, 120_120)])
+def test_oversized_exact_search_exits_2(n, conflicts):
+    # the conflicts are counted, not listed, before any per-conflict
+    # table is built, so the refusal is immediate and fits the memory limit
+    start = time.perf_counter()
+    proc = run_in_1_gib("search", "exact", "--n", str(n), "--cap", str(n), "--max-nodes", "1")
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"warning: exact search above n=8 grows quickly (n={n})\n"
+        f"error: {conflicts} conflicts exceed the largest exact search, "
+        f"{search.MAX_CONFLICTS}\n"
+    )
+
+
 def test_oversized_inputs_exit_2(tmp_path, capsys):
     # a 40-byte input naming 10^8 vertices or 5 * 10^9 pairs is refused
     # from its first gap, not by listing every gap

@@ -541,6 +541,37 @@ def test_is_maximal_free_matches_brute_force():
     assert answers == {True, False}
 
 
+def test_maximality_at_r3_reads_common_neighbours(monkeypatch):
+    # at r = 3 a non-edge extends when its two halves share a neighbour,
+    # so the scan asks for no 1-clique; at r = 4 it still asks for 2-cliques
+    # (the freeness check before the scan asks for r-cliques)
+    rng = random.Random(31)
+    cases = [
+        build_parity(n, 2, Shift(two_t))[0] for n in (6, 7, 8) for two_t in range(n % 2, n + 1, 2)
+    ]
+    for _ in range(20):
+        n = rng.randrange(6, 9)
+        h = hypergraph(n, 2, [m for m in enumerate_ksubsets(n, 4) if rng.random() < 0.1])
+        if brute_force_expansion(h, 3) is None:
+            full = greedy_completion(h, 3, rng)
+            cases += [h, full, hypergraph(n, 2, full.edges[1:])]
+    want = [brute_force_maximal(h, 3) for h in cases]
+    assert set(want) == {True, False}
+    clique_in = fr._clique_in
+    calls = []
+
+    def counted(adj, cand, r):
+        calls.append(r)
+        return clique_in(adj, cand, r)
+
+    monkeypatch.setattr(fr, "_clique_in", counted)
+    assert [fr.is_maximal_free(h, 3) for h in cases] == want
+    assert 1 not in calls
+    h = build_parity(8, 2, Shift(4))[0]
+    assert fr.is_maximal_free(h, 4) == brute_force_maximal(h, 4)
+    assert 2 in calls
+
+
 def test_expansion_vertex_budget():
     # r*k > n can never embed
     h = hypergraph(5, 2, [0b01111, 0b10111, 0b11011, 0b11101, 0b11110])

@@ -152,6 +152,33 @@ def test_exact_turan_cap():
     assert sr.exact_turan(3).value == 0
 
 
+def test_exact_turan_refuses_more_conflicts_than_it_holds():
+    # 15 * C(n, 6) conflicts: 25,740 at n = 13 fit, 45,045 at n = 14 do not
+    r = sr.exact_turan(13, cap=13, max_nodes=0)
+    assert (r.value, r.nodes, r.proof_of_optimality) == (optimal_shift(13, 2).max_edges, 1, False)
+    with pytest.raises(ValueError, match="45045 conflicts exceed the largest exact search, 32768"):
+        sr.exact_turan(14, cap=14, max_nodes=0)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_field_popcounts_match_a_per_field_count(width):
+    # random fields, and saturated ones (every bit set), where a fold
+    # would carry into the next byte if a partial sum overflowed it
+    rng = random.Random(width)
+    field = (1 << width) - 1
+    for nitems in (1, 2, 7, 126):
+        read = sr._field_popcounts(nitems, width)
+        values = [
+            [rng.getrandbits(width) for _ in range(nitems)],
+            [field] * nitems,
+            [field if i % 2 else 0 for i in range(nitems)],
+            [rng.choice((0, field, 1 << (width - 1), field >> 1)) for _ in range(nitems)],
+        ]
+        for fields in values:
+            occ = sum(f << (i * width) for i, f in enumerate(fields))
+            assert read(occ) == bytes(f.bit_count() for f in fields)
+
+
 def test_exact_turan_refuses_a_negative_budget():
     with pytest.raises(ValueError, match="need max_nodes >= 0, got -1"):
         sr.exact_turan(7, max_nodes=-1)
